@@ -3,9 +3,7 @@
 Exit codes: 0 on success, 2 on validation/domain errors (with a
 machine-readable error object on stdout), 3 on budget exhaustion.
 Certificates are canonical JSON; repeated runs on the same instance are
-byte-identical apart from the top-level "timing" field.  The LIFTFIX_THREADS
-environment variable caps internal parallelism; this build always runs the
-sequential reference mode, which every setting is allowed to equal.
+byte-identical apart from the top-level "timing" field.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import time
 
 from . import __version__
 from .errors import DomainViolation, LiftfixError
-from .exactgeo import Polygon2
+from .exactgeo import Polygon2, convex_hull
 from .fixing import cover_certify, fix_approx, translate_instance
 from .gauge import Budget, check_sfree, psi_eval, v_psi, v_seq, phi_eval, psi_star_eval
 from .rational import rat, rat_str, vec_str
@@ -33,18 +31,35 @@ from .serialize import (
     seqcert_to_json,
 )
 from .svg import render_svg
+from .type3 import claim_check, figure_points, pyramid, split_cover_certify, tilt
+
+
+def _parse_rat(text: str):
+    try:
+        return rat(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainViolation(f"not a rational number: {text!r}") from exc
 
 
 def _parse_point(text: str):
-    parts = [p.strip() for p in text.split(",")]
-    return tuple(rat(p) for p in parts)
+    return tuple(_parse_rat(p) for p in text.split(","))
+
+
+def _read_json(path):
+    """Parsed JSON file; an unreadable file or invalid JSON is a DomainViolation."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DomainViolation(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise DomainViolation(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load_instance(args) -> Instance:
     if not args.instance:
         raise DomainViolation("--instance PATH is required for this command")
-    with open(args.instance, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _read_json(args.instance)
     budget = Budget(n_max=args.budget_n, window=args.budget_window)
     return instance_from_json(obj, budget_override=budget)
 
@@ -55,8 +70,6 @@ def _need_pstar(inst: Instance, args):
     if inst.pstar is not None:
         return inst.pstar
     if inst.triangle is not None:
-        from .type3 import pyramid
-
         apex = pyramid(inst.triangle).apex
         return (apex[0] / apex[2], apex[1] / apex[2])
     raise DomainViolation("no pstar given (flag --pstar or instance field)")
@@ -72,7 +85,7 @@ def _cert_for(inst: Instance, args):
 
 
 def _cmd_gauge_eval(inst, args):
-    r = _parse_point(args.r) if isinstance(args.r, str) else tuple(rat(v) for v in args.r)
+    r = _parse_point(args.r) if isinstance(args.r, str) else tuple(_parse_rat(v) for v in args.r)
     gv = psi_eval(inst.gauge, r)
     return {"psi": rat_str(gv.value), "argmax": list(gv.argmax)}, None
 
@@ -177,8 +190,6 @@ def _cmd_fix_translate(inst, args):
 
 
 def _cmd_type3_mixing_verify(inst, args):
-    from .type3 import split_cover_certify, pyramid
-
     if inst.triangle is None or inst.triangle.mixing_delta is None:
         raise DomainViolation("type3 mixing-verify needs a type3-mixing instance")
     tri = inst.triangle
@@ -197,13 +208,11 @@ def _cmd_type3_mixing_verify(inst, args):
 
 
 def _cmd_type3_tilt(inst, args):
-    from .type3 import tilt
-
     if inst.triangle is None:
         raise DomainViolation("type3 tilt needs a type3 instance")
     if not args.beta:
         raise DomainViolation("--beta Q is required for type3 tilt")
-    res = tilt(inst.triangle, rat(args.beta), inst.budget)
+    res = tilt(inst.triangle, _parse_rat(args.beta), inst.budget)
     return {
         "beta": rat_str(res.beta),
         "alphas": [rat_str(a) for a in res.alphas],
@@ -216,8 +225,6 @@ def _cmd_type3_tilt(inst, args):
 
 
 def _cmd_type3_claim_check(inst, args):
-    from .type3 import claim_check
-
     if inst.triangle is None:
         raise DomainViolation("type3 claim-check needs a type3 instance")
     pstar = _need_pstar(inst, args)
@@ -235,9 +242,6 @@ def _cmd_type3_claim_check(inst, args):
 
 
 def _cmd_type3_figure(inst, args):
-    from .type3 import figure_points
-    from .exactgeo import convex_hull
-
     if inst.triangle is None:
         raise DomainViolation("type3 figure needs a type3 instance")
     pts = figure_points(inst.triangle)
@@ -257,8 +261,7 @@ def _cmd_type3_figure(inst, args):
 def _cmd_plot_svg(args):
     if not args.instance:
         raise DomainViolation("plot svg needs --instance pointing at a payload JSON")
-    with open(args.instance, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _read_json(args.instance)
     if "certificate" in payload:
         payload = payload["certificate"]
     svg = render_svg(payload if "kind" in payload else {"kind": "region", **payload})
@@ -342,26 +345,9 @@ def run(argv) -> int:
     return 0
 
 
-def _thread_cap() -> int:
-    """LIFTFIX_THREADS caps internal parallelism; 0 is the sequential
-    reference mode, which this build always runs (every cap is compliant
-    because results must be bit-identical to sequential anyway)."""
-    import os
-
-    raw = os.environ.get("LIFTFIX_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DomainViolation(f"LIFTFIX_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise DomainViolation("LIFTFIX_THREADS must be nonnegative")
-    return cap
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        _thread_cap()
         return run(argv)
     except LiftfixError as exc:
         sys.stdout.write(dumps_canonical({"error": exc.payload()}))

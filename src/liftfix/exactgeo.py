@@ -5,16 +5,17 @@ of translated cones can also produce rows with right-hand sides <= 0, which
 are carried as explicit ``(a, c)`` pairs instead of being force-scaled.
 
 Everything is pure Fraction arithmetic: vertex enumeration, halfplane
-clipping, shoelace areas, unions on the unit torus, and slicing of
-higher-dimensional cones down to the plane.  Lower-dimensional intersections
-(segments, points) are ordinary polygons with area 0, not special cases.
-All values are immutable and all functions are deterministic.
+clipping, shoelace areas, unions in the plane and on the unit torus (one
+exact slab sweep), and slicing of higher-dimensional cones down to the
+plane.  Lower-dimensional intersections (segments, points) are ordinary
+polygons with area 0, not special cases.  All values are immutable and all functions are deterministic.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -130,14 +131,15 @@ class Polygon2:
                 return False
             t = dot(d, w)
             return 0 <= t <= dot(d, d)
-        for a, b in _edges(vs):
+        for a, b in edges(vs):
             c = cross2(vsub(b, a), vsub(p, a))
             if c < 0 or (strict and c == 0):
                 return False
         return True
 
 
-def _edges(vs):
+def edges(vs):
+    """Consecutive vertex pairs of a closed ring, last to first included."""
     return zip(vs, vs[1:] + vs[:1])
 
 
@@ -147,7 +149,7 @@ def area(poly: Polygon2) -> Fraction:
     if len(vs) < 3:
         return ZERO
     s = ZERO
-    for a, b in _edges(vs):
+    for a, b in edges(vs):
         s += cross2(a, b)
     return s / 2
 
@@ -410,8 +412,7 @@ def convex_intersection(pa: Polygon2, pb: Polygon2) -> Polygon2:
     if len(pb.vertices) < 3 or pa.is_empty:
         return Polygon2(())
     out = pa
-    vs = pb.vertices
-    for v, w in zip(vs, vs[1:] + vs[:1]):
+    for v, w in edges(pb.vertices):
         d = vsub(w, v)
         a = (d[1], -d[0])
         out = clip(out, (a, dot(a, v)))
@@ -454,17 +455,15 @@ def slice_polygon(cone: HPoly, t) -> Polygon2 | _Unbounded:
 
 
 # ---------------------------------------------------------------------------
-# Torus union
+# Unions: exact slab sweep in the plane and on the unit torus
 # ---------------------------------------------------------------------------
 
-_CELL = ((ONE, ZERO), (Fraction(-1), ZERO), (ZERO, ONE), (ZERO, Fraction(-1)))
-_CELL_RHS = (ONE, ZERO, ONE, ZERO)
+# The fundamental cell [0,1]^2 as halfplanes a.x <= c.
+_CELL = (((ONE, ZERO), ONE), ((-ONE, ZERO), ZERO), ((ZERO, ONE), ONE), ((ZERO, -ONE), ZERO))
 
 
 def _wrap_into_cell(polys):
     """Clip every integer translate of every polygon against [0,1]^2."""
-    import math
-
     pieces = []
     for poly in polys:
         if len(poly.vertices) < 3 or area(poly) == 0:
@@ -476,10 +475,7 @@ def _wrap_into_cell(polys):
                 sx0, sx1, sy0, sy1 = shifted.bbox()
                 if sx1 <= 0 or sx0 >= 1 or sy1 <= 0 or sy0 >= 1:
                     continue
-                clipped = clip_many(
-                    shifted, [((ONE, ZERO), ONE), ((Fraction(-1), ZERO), ZERO),
-                              ((ZERO, ONE), ONE), ((ZERO, Fraction(-1)), ZERO)]
-                )
+                clipped = clip_many(shifted, _CELL)
                 if area(clipped) > 0:
                     pieces.append(clipped)
     return pieces
@@ -492,7 +488,7 @@ def _vertical_intervals(piece: Polygon2, x):
     vertex abscissa, so every boundary crossing is transversal.
     """
     ys = []
-    for p, q in _edges(piece.vertices):
+    for p, q in edges(piece.vertices):
         if (p[0] - x) * (q[0] - x) < 0:
             t = (x - p[0]) / (q[0] - p[0])
             ys.append(p[1] + t * (q[1] - p[1]))
@@ -513,18 +509,16 @@ def _merged_length(intervals):
     return sum((hi - lo for lo, hi in merged), ZERO), merged
 
 
-def torus_cover(polys) -> tuple:
-    """Exact area of (union of polys + Z^2) within [0,1]^2, plus a witness.
+def _slabs(pieces, bounds=()):
+    """Sweep slabs of a union of convex polygons with area, left to right.
 
-    The witness is a point of the open cell not covered by any translated
-    polygon (None when the cover is full): midpoint of the first uncovered
-    vertical gap in the first deficient sweep slab, which is deterministic.
+    Yields (x0, x1, length, merged) between consecutive event abscissae:
+    `bounds`, every vertex and every crossing of two pieces' edges.  No
+    event lies strictly inside a slab, so the union's vertical cross-section
+    is linear in x there; `merged` is its y-intervals at the slab midpoint
+    and (x1 - x0) * length is the slab's exact area.
     """
-    pieces = _wrap_into_cell(polys)
-    if not pieces:
-        return ZERO, (Fraction(1, 2), Fraction(1, 2))
-
-    xs = {ZERO, ONE}
+    xs = set(bounds)
     for piece in pieces:
         for v in piece.vertices:
             xs.add(v[0])
@@ -534,7 +528,7 @@ def torus_cover(polys) -> tuple:
         bx0, bx1, by0, by1 = boxes[ib]
         if ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0:
             continue
-        for (p, q), (r, s) in itertools.product(_edges(pa.vertices), _edges(pb.vertices)):
+        for (p, q), (r, s) in itertools.product(edges(pa.vertices), edges(pb.vertices)):
             if max(min(p[0], q[0]), min(r[0], s[0])) > min(max(p[0], q[0]), max(r[0], s[0])):
                 continue
             if max(min(p[1], q[1]), min(r[1], s[1])) > min(max(p[1], q[1]), max(r[1], s[1])):
@@ -546,23 +540,45 @@ def torus_cover(polys) -> tuple:
             t = cross2(vsub(r, p), d2) / det
             ix = p[0] + t * d1[0]
             if min(p[0], q[0]) <= ix <= max(p[0], q[0]) and min(r[0], s[0]) <= ix <= max(r[0], s[0]):
-                if 0 <= ix <= 1:
-                    xs.add(ix)
+                xs.add(ix)
 
-    total = ZERO
-    witness = None
     for x0, x1 in itertools.pairwise(sorted(xs)):
-        if x0 == x1:
-            continue
         xm = (x0 + x1) / 2
         intervals = []
         for piece, (px0, px1, _, _) in zip(pieces, boxes):
             if px0 < xm < px1:
                 intervals.extend(_vertical_intervals(piece, xm))
-        length, merged = _merged_length(intervals)
-        covered = min(length, ONE)
+        yield (x0, x1, *_merged_length(intervals))
+
+
+def union_area(polys) -> Fraction:
+    """Exact area of the union of convex polygons in the plane.
+
+    Empty polygons, points and segments add nothing and are skipped.
+    """
+    pieces = [p for p in polys if len(p.vertices) >= 3]
+    return sum(((x1 - x0) * length for x0, x1, length, _ in _slabs(pieces)), ZERO)
+
+
+def torus_cover(polys) -> tuple:
+    """Exact area of (union of polys + Z^2) within [0,1]^2, plus a witness.
+
+    The witness is a point of the open cell not covered by any translated
+    polygon (None when the cover is full): midpoint of the first uncovered
+    vertical gap in the first deficient sweep slab, which is deterministic.
+    """
+    pieces = _wrap_into_cell(polys)
+    if not pieces:
+        return ZERO, (Fraction(1, 2), Fraction(1, 2))
+
+    total = ZERO
+    witness = None
+    # the cell's sides are slab bounds so that the witness search sees the
+    # whole cell; every piece lies inside it, so no slab covers more than 1
+    for x0, x1, covered, merged in _slabs(pieces, (ZERO, ONE)):
         total += (x1 - x0) * covered
         if witness is None and covered < 1:
+            xm = (x0 + x1) / 2
             y_prev = ZERO
             for lo, hi in merged:
                 if lo > y_prev:

@@ -31,8 +31,8 @@ from .exactgeo import (
     torus_cover,
     vertices_from_rows,
 )
-from .gauge import Gauge, LiftCert, lifting_cone, psi, psi_eval
-from .lattice import Lattice
+from .gauge import Gauge, LiftCert, lifting_cone, psi_eval, v_psi_geometric
+from .lattice import Lattice, translation_group
 from .rational import Vec, dot, is_integral, rat, vadd, vscale, vsub
 
 
@@ -131,21 +131,11 @@ class CoverCert:
 
 
 def boundary_pairs(g: Gauge, cert: LiftCert):
-    """All of S x Z_+ on the certifying cone's boundary, heights 0 and up."""
-    from .gauge import _sublevel_points
+    """All of S x Z_+ on the certifying cone's boundary, heights 0 and up.
 
-    out = []
-    k = 0
-    while True:
-        c = 1 - k * cert.value
-        if c < 0:
-            break
-        center = vscale(k, cert.pstar)
-        for x in _sublevel_points(g, center, c):
-            if psi(g, vsub(x, center)) == c:
-                out.append((x, k))
-        k += 1
-    return tuple(sorted(out, key=lambda p: (p[1], p[0])))
+    Pairs (x, height) come in (height, x) order.
+    """
+    return v_psi_geometric(g, cert.pstar, cert.value).boundary
 
 
 def fix_approx(g: Gauge, cert: LiftCert) -> FixApprox:
@@ -154,8 +144,6 @@ def fix_approx(g: Gauge, cert: LiftCert) -> FixApprox:
     Height-0 pairs contribute the classical lifting-region spindles; ties in
     the maximizing row produce one spindle per row (the union only grows).
     """
-    from .lattice import translation_group
-
     pieces = []
     for x, k in boundary_pairs(g, cert):
         anchor = vsub(x, vscale(k, cert.pstar))

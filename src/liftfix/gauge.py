@@ -204,30 +204,42 @@ class ConeCheck:
     boundary: tuple  # ((x, height), ...) all heights >= 0
 
 
+def _cone_walk(g: Gauge, pstar: Vec, lam, top=1, base=(0, 0)):
+    """Yield (x, k, slack) over the integer height slices of a lifted cone.
+
+    The height-k slice is (base + k*pstar) + c*B with c = top - k*lam, for
+    k = 0, 1, ... while c >= 0.  Its points x of S come in (k, x) order with
+    slack c - psi(x - base - k*pstar): zero on the cone's boundary and
+    positive inside it.
+    """
+    k = 0
+    while True:
+        c = top - k * lam
+        if c < 0:
+            return
+        center = vadd(base, vscale(k, pstar))
+        for x in _sublevel_points(g, center, c):
+            yield x, k, c - psi(g, vsub(x, center))
+        k += 1
+
+
 def v_psi_geometric(g: Gauge, pstar: Vec, lam) -> ConeCheck:
     """Freeness of the lifted cone against S x Z_+, by integer-height slices.
 
     The height-k slice of the cone is (k*pstar) + (1 - k*lam) * B, so the
-    scan is bounded: heights stop once 1 - k*lam goes negative.
+    scan is bounded: heights stop once 1 - k*lam goes negative.  The
+    boundary comes in (height, x) order.
     """
     lam = rat(lam)
     if lam <= 0:
         raise NonpositiveLambda(f"lambda must be positive, got {lam}")
     interior = None
     boundary = []
-    k = 0
-    while True:
-        c = 1 - k * lam
-        if c < 0:
-            break
-        center = vscale(k, pstar)
-        for x in _sublevel_points(g, center, c):
-            p = psi(g, vsub(x, center))
-            if p < c and interior is None:
-                interior = (x, k)
-            elif p == c:
-                boundary.append((x, k))
-        k += 1
+    for x, k, slack in _cone_walk(g, pstar, lam):
+        if slack > 0 and interior is None:
+            interior = (x, k)
+        elif slack == 0:
+            boundary.append((x, k))
     tight = any(h >= 1 for _, h in boundary)
     return ConeCheck(interior is None, interior is None and tight, interior, tuple(boundary))
 
@@ -330,25 +342,15 @@ def v_seq(g: Gauge, p1: Vec, p2: Vec, v1, budget: Budget = Budget()) -> SeqLiftC
                 k1 += 1
             k2 += 1
 
-    # geometric verification on the twice-lifted cone
+    # geometric verification on the twice-lifted cone, one p2-walk per k1
     interior = None
     boundary = []
-    k1 = 0
-    while k1 * v1 <= 1:
-        k2 = 0
-        while True:
-            c = 1 - k1 * v1 - k2 * best
-            if c < 0:
-                break
-            center = vadd(vscale(k1, p1), vscale(k2, p2))
-            for x in _sublevel_points(g, center, c):
-                p = psi(g, vsub(x, center))
-                if p < c and interior is None:
-                    interior = (x, k1, k2)
-                elif p == c and k2 >= 1:
-                    boundary.append((x, k1, k2))
-            k2 += 1
-        k1 += 1
+    for k1 in range(math.floor(1 / v1) + 1):
+        for x, k2, slack in _cone_walk(g, p2, best, 1 - k1 * v1, vscale(k1, p1)):
+            if slack > 0 and interior is None:
+                interior = (x, k1, k2)
+            elif slack == 0 and k2 >= 1:
+                boundary.append((x, k1, k2))
     if interior is not None or not boundary:
         raise CertificateMismatch(
             f"sequential value {best} failed geometric verification"

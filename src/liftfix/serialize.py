@@ -13,9 +13,10 @@ import json
 from .errors import DomainViolation
 from .exactgeo import HPoly, Polygon2
 from .fixing import CoverCert, FixApprox
-from .gauge import Budget, Gauge, LiftCert, SeqLiftCert
+from .gauge import Budget, Gauge, LiftCert, SeqLiftCert, check_sfree
 from .lattice import Lattice
 from .rational import parse_vec, rat, rat_str, vec_str
+from .type3 import triangle_from_gammas, triangle_from_mixing
 
 
 def polygon_to_json(poly: Polygon2) -> list:
@@ -132,16 +133,22 @@ class Instance:
 
 
 def instance_from_json(obj: dict, budget_override: Budget | None = None) -> Instance:
-    from .type3 import triangle_from_gammas, triangle_from_mixing
+    """Parse and validate an instance; every malformed input is a DomainViolation."""
+    try:
+        return _parse_instance(obj, budget_override)
+    except KeyError as exc:
+        raise DomainViolation(f"instance is missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DomainViolation(f"malformed instance: {exc}") from exc
 
+
+def _parse_instance(obj: dict, budget_override: Budget | None) -> Instance:
     body = obj.get("body")
     if body is None:
         raise DomainViolation("instance is missing a body descriptor")
     kind = body.get("type")
     triangle = None
     if kind == "rows":
-        from .gauge import check_sfree
-
         lat = lattice_from_json(obj["lattice"])
         gauge = Gauge(hpoly_from_json(body["rows"]), lat)
         free = check_sfree(gauge.body, lat)

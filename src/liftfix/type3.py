@@ -19,6 +19,7 @@ Three constructions live here:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,15 +39,16 @@ from .exactgeo import (
     UNBOUNDED,
     area,
     clip_many,
-    cone_slice,
     convex_hull,
     convex_intersection,
     cross2,
-    vertices2,
+    edges,
+    slice_polygon,
+    union_area,
 )
 from .fixing import CoverCert, FixApprox, cover_certify, fix_approx, spindle
 from .gauge import Budget, Gauge, LiftCert, check_sfree, lifting_cone, v_psi
-from .lattice import Lattice
+from .lattice import Lattice, _base_points_in_rows
 from .rational import Vec, dot, rat, vadd, vscale, vsub
 
 ZERO = Fraction(0)
@@ -288,8 +290,7 @@ def split_cover_certify(b, budget: Budget = Budget()) -> SplitCoverCert:
     heights = []
     residuals = []
     for k in range(1, math.floor(pyr.apex[2]) + 1):
-        hp, extras = cone_slice(pyr.body, k)
-        poly = vertices2(hp if hp.rows else None, extras)
+        poly = slice_polygon(pyr.body, k)
         if poly is UNBOUNDED:
             raise UnboundedRegion(f"slice at height {k} is unbounded")
         splits = (
@@ -300,17 +301,7 @@ def split_cover_certify(b, budget: Budget = Budget()) -> SplitCoverCert:
                 ((-ONE, ONE), Fraction(k, 2) + Fraction(1, 2) - b1 + b2),
             ),
         )
-        # inclusion-exclusion over the three strips
-        covered = ZERO
-        import itertools as _it
-
-        for r in (1, 2, 3):
-            for combo in _it.combinations(splits, r):
-                piece = poly
-                for strip in combo:
-                    piece = clip_many(piece, strip)
-                covered += (-1) ** (r + 1) * area(piece)
-        residual = area(poly) - covered
+        residual = area(poly) - union_area([clip_many(poly, s) for s in splits])
         heights.append(k)
         residuals.append(residual)
     free = all(r == 0 for r in residuals)
@@ -457,9 +448,7 @@ def claim_check(tri: Type3Triangle, pstar: Vec) -> ClaimReport:
         area_parts.append(area(poly))
     k_poly = convex_hull([named[n] for n in ("c2", "k", "j", "i", "g", "e1")])
     overlaps_zero = True
-    import itertools as _it
-
-    for pa, pb in _it.combinations(polys, 2):
+    for pa, pb in itertools.combinations(polys, 2):
         if area(convex_intersection(pa, pb)) != 0:
             overlaps_zero = False
     area_ok = area(k_poly) == sum(area_parts, ZERO)
@@ -536,8 +525,6 @@ def tilt_beta_bound(tri: Type3Triangle) -> Fraction:
 
 def _stage_candidates(tri, beta, alphas, f, margin, k_window):
     """Lattice points that would enter through facet f, with their thresholds."""
-    from .lattice import _base_points_in_rows
-
     rows2 = tri.body.rows
     cur = alphas[f]
     c_cur = _tilt_coeff(tri, beta, f, cur)
@@ -675,19 +662,8 @@ class FixedBall:
 
 
 def _covered_by_union(square: Polygon2, pieces) -> bool:
-    """area(square \\ union of convex pieces) == 0 via inclusion-exclusion."""
-    import itertools as _it
-
-    total = ZERO
-    for r in range(1, len(pieces) + 1):
-        for combo in _it.combinations(pieces, r):
-            piece = square
-            for other in combo:
-                piece = convex_intersection(piece, other)
-                if piece.is_empty:
-                    break
-            total += (-1) ** (r + 1) * area(piece)
-    return total == area(square)
+    """area(square \\ union of convex pieces) == 0, by the exact sweep."""
+    return union_area([convex_intersection(square, p) for p in pieces]) == area(square)
 
 
 def fixed_ball(tri: Type3Triangle, beta, budget: Budget = Budget()) -> FixedBall:
@@ -720,7 +696,7 @@ def fixed_ball(tri: Type3Triangle, beta, budget: Budget = Budget()) -> FixedBall
     for piece in pieces:
         for v in piece.vertices:
             cands.add(max(abs(v[0] - pstar[0]), abs(v[1] - pstar[1])))
-        for p, q in zip(piece.vertices, piece.vertices[1:] + piece.vertices[:1]):
+        for p, q in edges(piece.vertices):
             d = vsub(q, p)
             for sign in (1, -1):
                 # diagonal y - py = sign * (x - px)
@@ -731,13 +707,8 @@ def fixed_ball(tri: Type3Triangle, beta, budget: Budget = Budget()) -> FixedBall
                 if 0 <= tpar <= 1:
                     q2 = vadd(p, vscale(tpar, d))
                     cands.add(max(abs(q2[0] - pstar[0]), abs(q2[1] - pstar[1])))
-    import itertools as _it
-
-    for pa, pb in _it.combinations(pieces, 2):
-        for (p, q), (r_, s_) in _it.product(
-            zip(pa.vertices, pa.vertices[1:] + pa.vertices[:1]),
-            zip(pb.vertices, pb.vertices[1:] + pb.vertices[:1]),
-        ):
+    for pa, pb in itertools.combinations(pieces, 2):
+        for (p, q), (r_, s_) in itertools.product(edges(pa.vertices), edges(pb.vertices)):
             d1, d2 = vsub(q, p), vsub(s_, r_)
             det = cross2(d1, d2)
             if det == 0:

@@ -137,17 +137,34 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().out)
         assert "not lattice-free" in err["error"]["message"]
 
-    def test_bad_thread_env_exits_two(self, instance_path, capsys, monkeypatch):
-        monkeypatch.setenv("LIFTFIX_THREADS", "many")
-        code = main(["gauge", "free", "--instance", instance_path])
+    def test_bad_rational_flag_exits_two(self, instance_path, capsys):
+        code = main(["lift", "value", "--instance", instance_path, "--pstar", "1/2,x"])
         assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "DomainViolation"
 
-    def test_thread_env_accepted(self, instance_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("LIFTFIX_THREADS", "0")
-        code, data = run_cli(
-            ["gauge", "free", "--instance", instance_path], tmp_path, "tf.json"
-        )
-        assert code == 0 and json.loads(data)["certificate"]["free"] is True
+    def test_missing_instance_file_exits_two(self, tmp_path, capsys):
+        code = main(["lift", "value", "--instance", str(tmp_path / "absent.json")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "DomainViolation"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            json.dumps({"body": {"type": "rows", "rows": [["1", "0"], ["-1", "1"]]}}),
+            json.dumps({"body": {"type": "type3-mixing", "b": ["-1/4", "three"]}}),
+        ],
+        ids=["not-json", "rows-without-lattice", "bad-rational"],
+    )
+    def test_malformed_instance_exits_two(self, text, tmp_path, capsys):
+        path = tmp_path / "malformed.json"
+        path.write_text(text, encoding="utf-8")
+        code = main(["lift", "value", "--instance", str(path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "DomainViolation"
 
 
 def _strip_timing(data: bytes) -> bytes:

@@ -1,5 +1,6 @@
 """Exact polygon engine tests: frozen oracle values plus property checks."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -16,6 +17,7 @@ from liftfix.exactgeo import (
     convex_hull,
     convex_intersection,
     torus_union_area,
+    union_area,
     vertices2,
     vertices_from_rows,
 )
@@ -36,6 +38,20 @@ def rand_rat(rng, lo=-3, hi=3, den=8):
 def rand_convex(rng):
     pts = [(rand_rat(rng), rand_rat(rng)) for _ in range(rng.randint(3, 7))]
     return convex_hull(pts)
+
+
+def inclusion_exclusion_area(polys):
+    """Oracle: area of a union of convex polygons by inclusion-exclusion."""
+    total = F(0)
+    for r in range(1, len(polys) + 1):
+        for combo in itertools.combinations(polys, r):
+            piece = combo[0]
+            for other in combo[1:]:
+                piece = convex_intersection(piece, other)
+                if piece.is_empty:
+                    break
+            total += (-1) ** (r + 1) * area(piece)
+    return total
 
 
 class TestVertices:
@@ -203,8 +219,6 @@ class TestCrossValidation:
                 assert all(dot(a, v) <= c for a, c in rows)
 
     def test_sweep_union_matches_inclusion_exclusion(self):
-        import itertools
-
         rng = random.Random(77)
         done = 0
         cell = [((F(1), F(0)), F(1)), ((F(-1), F(0)), F(0)),
@@ -223,17 +237,39 @@ class TestCrossValidation:
             polys = [p for p in polys if len(p.vertices) >= 3]
             if not polys:
                 continue
-            incl = F(0)
-            for r in range(1, len(polys) + 1):
-                for combo in itertools.combinations(polys, r):
-                    piece = combo[0]
-                    for other in combo[1:]:
-                        piece = convex_intersection(piece, other)
-                        if piece.is_empty:
-                            break
-                    incl += (-1) ** (r + 1) * area(piece)
-            assert torus_union_area(polys) == incl
+            assert torus_union_area(polys) == inclusion_exclusion_area(polys)
             done += 1
+
+    def test_plane_union_matches_inclusion_exclusion(self):
+        # random convex sets mixed with empty, point, segment and zero-area pieces
+        rng = random.Random(2024)
+        p, q = (rand_rat(rng), rand_rat(rng)), (rand_rat(rng), rand_rat(rng))
+        degenerate = [
+            Polygon2(()),
+            Polygon2((p,)),
+            Polygon2(tuple(sorted((p, q)))),
+            Polygon2(((F(0), F(0)), (F(1), F(1)), (F(2), F(2)))),
+        ]
+        for _ in range(40):
+            polys = [rand_convex(rng) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.5:
+                polys.append(rng.choice(degenerate))
+            rng.shuffle(polys)
+            assert union_area(polys) == inclusion_exclusion_area(polys)
+
+    def test_plane_union_exact_values(self):
+        shifted = UNIT.translate((F(1, 2), F(0)))
+        assert union_area([]) == 0
+        assert union_area([UNIT, UNIT]) == 1
+        assert union_area([UNIT, shifted]) == F(3, 2)
+        # a partial cover of the 2x2 square: 3/2 covered by the lower pair, 1 above
+        big = square((0, 0), (2, 0), (2, 2), (0, 2))
+        pieces = [convex_intersection(big, t) for t in (UNIT, shifted, UNIT.translate((F(1), F(1))))]
+        assert area(big) - union_area(pieces) == F(3, 2)
+        # a triangle covered by the two halves of a split, touching along x = 0
+        tri = Polygon2(((F(-1), F(0)), (F(1), F(0)), (F(0), F(1))))
+        halves = [clip(tri, ((F(1), F(0)), F(0))), clip(tri, ((F(-1), F(0)), F(0)))]
+        assert union_area(halves) == area(tri)
 
 
 class TestTorusUnion:

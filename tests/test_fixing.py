@@ -21,8 +21,9 @@ from liftfix.fixing import (
     translate_instance,
 )
 from liftfix.gauge import psi, psi_eval, v_psi
+from liftfix.lattice import naive_box_points
 from liftfix.rational import dot, vadd, vscale, vsub
-from liftfix.type3 import triangle_from_mixing
+from liftfix.type3 import pyramid, triangle_from_mixing
 
 B = (F(-1, 4), F(-3, 4))
 PSTAR = (F(1, 2), F(7, 8))
@@ -327,3 +328,27 @@ class TestWindowAgainstNaiveScan:
                     if not convex_intersection(box, t).is_empty:
                         hits_window.add((i, j))
             assert hits_window == hits_naive
+
+    @pytest.mark.parametrize("b", [B, (F(-1, 8), F(-5, 8))])
+    def test_boundary_pairs_match_naive_scan(self, b):
+        # each height's boundary against a brute scan of its slice's bounding box
+        tri = triangle_from_mixing(b)
+        apex = pyramid(tri).apex
+        g = tri.gauge()
+        cert = v_psi(g, (apex[0] / apex[2], apex[1] / apex[2]))
+        xmin, xmax, ymin, ymax = g.body_polygon().bbox()
+        expected = []
+        k = 0
+        while 1 - k * cert.value >= 0:
+            c = 1 - k * cert.value
+            center = vscale(k, cert.pstar)
+            box = (center[0] + c * xmin, center[0] + c * xmax,
+                   center[1] + c * ymin, center[1] + c * ymax)
+            on_boundary = naive_box_points(
+                g.lattice, box, lambda x: psi(g, vsub(x, center)) == c
+            )
+            expected += [(x, k) for x in on_boundary]
+            k += 1
+        pairs = boundary_pairs(g, cert)
+        assert pairs == tuple(expected)
+        assert tuple(p for p in pairs if p[1] >= 1) == cert.blocking
