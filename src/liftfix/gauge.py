@@ -27,7 +27,7 @@ from .errors import (
     UnboundedRegion,
 )
 from .exactgeo import HPoly, Polygon2, vertices2, UNBOUNDED
-from .lattice import Lattice, contains, points_in
+from .lattice import Lattice, _scan, points_in
 from .rational import Vec, dot, rat, vadd, vscale, vsub
 
 
@@ -126,52 +126,17 @@ def lifting_cone(g: Gauge, pstar: Vec, lam) -> HPoly:
 def _sublevel_points(g: Gauge, center: Vec, level):
     """Points x of S with psi(x - center) <= level, in lexicographic order.
 
-    The sublevel set {psi <= c} is c*B, so candidates live in the bounding
-    box of center + c*B; the box scan plus an exact membership filter is
-    complete for bounded bodies.
+    psi(x - center) <= level is the set of rows a.x <= level + a.center,
+    whose points the exact scanline enumerates directly.
     """
-    level = rat(level)
-    if level < 0:
-        return ()
-    if level == 0:
-        return (center,) if contains(g.lattice, center) else ()
-    poly = g.body_polygon()
-    xmin, xmax, ymin, ymax = poly.bbox()
-    b1, b2 = g.lattice.shift
-    lo1 = math.ceil(center[0] + level * xmin - b1)
-    hi1 = math.floor(center[0] + level * xmax - b1)
-    lo2 = math.ceil(center[1] + level * ymin - b2)
-    hi2 = math.floor(center[1] + level * ymax - b2)
-    out = []
-    for i in range(lo1, hi1 + 1):
-        for j in range(lo2, hi2 + 1):
-            x = (b1 + i, b2 + j)
-            if psi(g, vsub(x, center)) <= level:
-                out.append(x)
-    return tuple(out)
+    rows = [(a, level + dot(a, center)) for a in g.body.rows]
+    return tuple(_scan(g.lattice.shift, rows))
 
 
 def _integer_sublevel(g: Gauge, offset: Vec, level):
-    """Integer vectors z with psi(offset + z) <= level."""
-    level = rat(level)
-    if level < 0:
-        return ()
-    if level == 0:
-        z = tuple(-c for c in offset)
-        return (z,) if all(c.denominator == 1 for c in z) else ()
-    poly = g.body_polygon()
-    xmin, xmax, ymin, ymax = poly.bbox()
-    lo1 = math.ceil(level * xmin - offset[0])
-    hi1 = math.floor(level * xmax - offset[0])
-    lo2 = math.ceil(level * ymin - offset[1])
-    hi2 = math.floor(level * ymax - offset[1])
-    out = []
-    for i in range(lo1, hi1 + 1):
-        for j in range(lo2, hi2 + 1):
-            z = (Fraction(i), Fraction(j))
-            if psi(g, vadd(offset, z)) <= level:
-                out.append(z)
-    return tuple(out)
+    """Integer vectors z with psi(offset + z) <= level, in lexicographic order."""
+    rows = [(a, level - dot(a, offset)) for a in g.body.rows]
+    return tuple(_scan((Fraction(0), Fraction(0)), rows))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ deliberately not attempted; the caller must declare the group.
 
 Enumeration of lattice points inside a polyhedral region works by slicing
 tail coordinates at integer heights (the set of nonempty heights of a convex
-region is an interval) and running an exact bounding-box scan over the
-residues of each 2-D slice.  Output order is lexicographic, so repeated runs
-are bit-identical.
+region is an interval) and running an exact integer scanline over each 2-D
+slice: every row is scaled once to integer coefficients, and each column's
+exact range of points comes from integer floor and ceil division, so no
+cell outside the region is visited.  Output order is lexicographic, so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     TruncationNeedsExplicitGroup,
     UnboundedRegion,
 )
-from .exactgeo import HPoly, fm_feasible, fm_upper_bound, vertices_from_rows, UNBOUNDED
+from .exactgeo import HPoly, fm_feasible, fm_upper_bound
 from .rational import Vec, dot, is_integral, rat
 
 
@@ -100,23 +102,63 @@ def translation_group(lat: Lattice) -> TranslationGroup:
     )
 
 
-def _base_points_in_rows(lat: Lattice, rows):
-    """Lattice residue scan over the bounding box of a 2-D region."""
-    poly = vertices_from_rows(rows)
-    if poly is UNBOUNDED:
+def _columns(shift, rows, strict_rows=()):
+    """Exact integer scanline over the points shift + (i, j) of a 2-D region.
+
+    The region is a.x <= c over `rows` and a.x < c over `strict_rows`.  Each
+    row is rewritten once as A1*i + A2*j <= C, scaled by the common
+    denominator of a and c - a.shift; a strict row becomes <= C - 1.  Yields
+    (i, jlo, jhi) for every column with a point, i ascending, where jlo..jhi
+    are exactly the column's points.  The column range is the i-range of the
+    closed region, by Fourier-Motzkin elimination of j; a closed region that
+    is nonempty and unbounded raises UnboundedRegion.
+    """
+    b1, b2 = shift
+    ints = []  # (A1, A2, C, C less one when strict)
+    for strict, group in ((0, rows), (1, strict_rows)):
+        for (a1, a2), c in group:
+            r = c - a1 * b1 - a2 * b2
+            m = math.lcm(a1.denominator, a2.denominator, r.denominator)
+            C = r.numerator * (m // r.denominator)
+            ints.append((a1.numerator * (m // a1.denominator),
+                         a2.numerator * (m // a2.denominator), C, C - strict))
+    upper = [t for t in ints if t[1] > 0]
+    lower = [t for t in ints if t[1] < 0]
+    flat = [(A1, C, Cs) for A1, A2, C, Cs in ints if A2 == 0]
+    # e*i <= f: the flat rows, and each upper row against each lower row
+    bounds = [(A1, C) for A1, C, _ in flat] + [
+        (u2 * l1 - l2 * u1, u2 * lc - l2 * uc)
+        for u1, u2, uc, _ in upper
+        for l1, l2, lc, _ in lower
+    ]
+    lo = hi = None
+    for e, f in bounds:
+        if e > 0:
+            hi = Fraction(f, e) if hi is None else min(hi, Fraction(f, e))
+        elif e < 0:
+            lo = Fraction(f, e) if lo is None else max(lo, Fraction(f, e))
+        elif f < 0:
+            return
+    if lo is not None and hi is not None and lo > hi:
+        return
+    if lo is None or hi is None or not upper or not lower:
         raise UnboundedRegion("2-D slice has a recession direction")
-    if poly.is_empty:
-        return []
-    xmin, xmax, ymin, ymax = poly.bbox()
-    b1, b2 = lat.shift
-    out = []
-    for i in range(math.ceil(xmin - b1), math.floor(xmax - b1) + 1):
+    for i in range(math.ceil(lo), math.floor(hi) + 1):
+        if any(A1 * i > Cs for A1, _, Cs in flat):
+            continue
+        jhi = min((Cs - A1 * i) // A2 for A1, A2, _, Cs in upper)
+        jlo = max(-((Cs - A1 * i) // -A2) for A1, A2, _, Cs in lower)
+        if jlo <= jhi:
+            yield i, jlo, jhi
+
+
+def _scan(shift, rows, strict_rows=()):
+    """The points of `_columns`, as coordinates, in lexicographic order."""
+    b1, b2 = shift
+    for i, jlo, jhi in _columns(shift, rows, strict_rows):
         x = b1 + i
-        for j in range(math.ceil(ymin - b2), math.floor(ymax - b2) + 1):
-            y = b2 + j
-            if all(dot(a, (x, y)) <= c for a, c in rows):
-                out.append((x, y))
-    return out
+        for j in range(jlo, jhi + 1):
+            yield x, b2 + j
 
 
 def points_in(lat: Lattice, region: HPoly, extra_rows=(), strict: bool = False):
@@ -128,62 +170,36 @@ def points_in(lat: Lattice, region: HPoly, extra_rows=(), strict: bool = False):
     """
     if region.dim != lat.full_dim:
         raise DimensionMismatch("region/lattice dimension mismatch")
-    rows_full = list(region.as_pairs()) + [(tuple(a), rat(c)) for a, c in extra_rows]
-    if lat.truncation is not None:
-        for a, c in lat.truncation:
-            padded = tuple(a) + (Fraction(0),) * lat.tail
-            rows_full.append((padded, rat(c)))
-
-    candidates = _enumerate_slices(lat, rows_full, lat.full_dim)
-    out = []
-    body_rows = list(region.as_pairs()) + [(tuple(a), rat(c)) for a, c in extra_rows]
-    for x in candidates:
-        vals = [dot(a, x) for a, _ in body_rows]
-        ok = all(v < c for v, (_, c) in zip(vals, body_rows)) if strict else all(
-            v <= c for v, (_, c) in zip(vals, body_rows)
-        )
-        if ok:
-            out.append(x)
-    return tuple(sorted(out))
+    body = list(region.as_pairs()) + [(tuple(a), rat(c)) for a, c in extra_rows]
+    trunc = [
+        (tuple(a) + (Fraction(0),) * lat.tail, rat(c)) for a, c in lat.truncation or ()
+    ]
+    if strict:
+        found = _enumerate_slices(lat, trunc, body, lat.full_dim)
+    else:
+        found = _enumerate_slices(lat, body + trunc, [], lat.full_dim)
+    return tuple(sorted(found))
 
 
-def _enumerate_slices(lat: Lattice, rows, d: int):
-    """Closed-region candidates, recursing on tail coordinates."""
+def _enumerate_slices(lat: Lattice, rows, strict_rows, d: int):
+    """Points of the region, recursing on tail coordinates."""
     if d == lat.dim:
-        return _base_points_in_rows(lat, rows)
+        return _scan(lat.shift, rows, strict_rows)
+    closed = rows + strict_rows
     # recession direction with positive last coordinate => unbounded scan
-    rec_rows = [(a[:-1], -a[-1]) for a, _ in rows]
-    if fm_feasible(list(rec_rows), d - 1):
+    rec_rows = [(a[:-1], -a[-1]) for a, _ in closed]
+    if fm_feasible(rec_rows, d - 1):
         raise UnboundedRegion("region recedes along a tail coordinate")
-    hi = fm_upper_bound(list(rows), d, d - 1)
+    hi = fm_upper_bound(closed, d, d - 1)
     if hi is None:
         raise UnboundedRegion("tail coordinate unbounded above")
     out = []
     for k in range(0, math.floor(hi) + 1):
         sliced = [(a[:-1], c - a[-1] * k) for a, c in rows]
-        for x in _enumerate_slices(lat, sliced, d - 1):
+        sliced_strict = [(a[:-1], c - a[-1] * k) for a, c in strict_rows]
+        for x in _enumerate_slices(lat, sliced, sliced_strict, d - 1):
             out.append(tuple(x) + (Fraction(k),))
     return out
-
-
-def integer_points_in_polygon(poly) -> tuple:
-    """Plain Z^2 points inside a polygon (closed), in lexicographic order.
-
-    Used for translation-group enumerations, where the relevant lattice is
-    the integer lattice itself rather than a shifted one.
-    """
-    if poly is UNBOUNDED:
-        raise UnboundedRegion("polygon is unbounded")
-    if poly.is_empty:
-        return ()
-    xmin, xmax, ymin, ymax = poly.bbox()
-    out = []
-    for i in range(math.ceil(xmin), math.floor(xmax) + 1):
-        for j in range(math.ceil(ymin), math.floor(ymax) + 1):
-            p = (Fraction(i), Fraction(j))
-            if poly.contains(p):
-                out.append(p)
-    return tuple(out)
 
 
 def naive_box_points(lat: Lattice, bbox, pred) -> tuple:

@@ -75,10 +75,6 @@ def vscale(s, a: Vec) -> Vec:
     return tuple(s * x for x in a)
 
 
-def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
-
 def cross2(a: Vec, b: Vec) -> Fraction:
     """2-D cross product a.x*b.y - a.y*b.x."""
     return a[0] * b[1] - a[1] * b[0]

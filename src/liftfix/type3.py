@@ -48,7 +48,7 @@ from .exactgeo import (
 )
 from .fixing import CoverCert, FixApprox, cover_certify, fix_approx, spindle
 from .gauge import Budget, Gauge, LiftCert, check_sfree, lifting_cone, v_psi
-from .lattice import Lattice, _base_points_in_rows
+from .lattice import Lattice, _columns
 from .rational import Vec, dot, rat, vadd, vscale, vsub
 
 ZERO = Fraction(0)
@@ -64,6 +64,7 @@ class Type3Triangle:
     vertices: tuple  # (v1, v2, v3)
     deltas: tuple  # convex coefficients placing s_i on side i
     s: tuple  # (s1, s2, s3) boundary lattice points
+    normalizers: tuple  # (d1, d2, d3), positive; row i is side i's normal over d_i
     mixing_delta: Fraction | None = None  # set for mixing instances
 
     def gauge(self) -> Gauge:
@@ -125,7 +126,7 @@ def triangle_from_gammas(b, g1, g2, g3) -> Type3Triangle:
             raise CertificateMismatch(f"s{i + 1} != convex combination on side {i + 1}")
 
     lat = Lattice(2, b)
-    return Type3Triangle(b, (g1, g2, g3), body, lat, vs, deltas, s)
+    return Type3Triangle(b, (g1, g2, g3), body, lat, vs, deltas, s, (d1, d2, d3))
 
 
 def mixing_hull_report(b) -> dict:
@@ -180,7 +181,7 @@ def triangle_from_mixing(b) -> Type3Triangle:
         raise CertificateMismatch("slope route and closed-form rows disagree")
     return Type3Triangle(
         tri.b, tri.gammas, tri.body, tri.lattice, tri.vertices, tri.deltas, tri.s,
-        mixing_delta=delta_b,
+        tri.normalizers, mixing_delta=delta_b,
     )
 
 
@@ -224,8 +225,7 @@ def pyramid(tri: Type3Triangle) -> Pyramid:
     b1, b2 = tri.b
     g1, g2, g3 = tri.gammas
     w1, w2, w3 = tri.body.rows
-    d1 = (b1 + 1) + g1 * (b2 + 1)
-    d3 = g3 * b1 - b2
+    d1, _, d3 = tri.normalizers
 
     c1 = 1 - ((b1 + 1) + g1 * (b2 + 2)) / d1
     c3 = Fraction(1, 2) - (g3 * (1 + b1) - (2 + b2)) / (2 * d3)
@@ -479,11 +479,8 @@ class TiltResult:
 
 
 def _tilt_coeff(tri: Type3Triangle, beta: Fraction, f: int, alpha: Fraction) -> Fraction:
-    b1, b2 = tri.b
-    g1, g2, g3 = tri.gammas
-    d1 = (b1 + 1) + g1 * (b2 + 1)
-    d2 = -b1 + g2 * (b2 + 1)
-    d3 = g3 * b1 - b2
+    g1 = tri.gammas[0]
+    d1, d2, d3 = tri.normalizers
     if f == 0:
         return -g1 / ((1 - alpha) * d1)
     if f == 1:
@@ -493,11 +490,8 @@ def _tilt_coeff(tri: Type3Triangle, beta: Fraction, f: int, alpha: Fraction) -> 
 
 def _tilt_alpha_from_coeff(tri: Type3Triangle, beta: Fraction, f: int, tau: Fraction):
     """Inverse of the facet height-coefficient map; None when out of range."""
-    b1, b2 = tri.b
-    g1, g2, g3 = tri.gammas
-    d1 = (b1 + 1) + g1 * (b2 + 1)
-    d2 = -b1 + g2 * (b2 + 1)
-    d3 = g3 * b1 - b2
+    g1 = tri.gammas[0]
+    d1, d2, d3 = tri.normalizers
     if f == 0:
         if tau >= 0:
             return None
@@ -523,42 +517,51 @@ def tilt_beta_bound(tri: Type3Triangle) -> Fraction:
     return (1 + 2 * g1 + g2 - g2 * g3 - g1 * g2 * g3) / (g1 + g2)
 
 
-def _stage_candidates(tri, beta, alphas, f, margin, k_window):
-    """Lattice points that would enter through facet f, with their thresholds."""
-    rows2 = tri.body.rows
-    cur = alphas[f]
-    c_cur = _tilt_coeff(tri, beta, f, cur)
-    cands = []
+def _stage_binding(tri, beta, alphas, f, margin, k_window):
+    """Smallest threshold at which a lattice point enters through facet f.
+
+    Scans heights k = 1..k_window for points x of S with threshold
+    tau = (1 - w_f.x)/k within `margin` below facet f's current coefficient,
+    strictly inside the other two facets.  Returns (alpha, (x, y, k)) for
+    the smallest alpha and its lexicographically first point, or None.
+    """
+    # One point per column suffices.  Each facet's threshold map is strictly
+    # decreasing on its domain of tau, with alpha < 1 throughout:
+    #   facet 1: alpha = 1 + g1/(d1*tau) on tau < 0, alpha' = -g1/(d1*tau^2);
+    #   facet 2: alpha = u/(u - 1) with u = d2*tau <= 0, alpha' = -d2/(u - 1)^2;
+    #   facet 3: alpha = 1 - d3*tau/beta on tau > 0, alpha' = -d3/beta.
+    # The current coefficient lies in the domain, and for facets 1 and 2 so
+    # does every tau <= it; facet 3's edge tau > 0 is a strict row once the
+    # margin reaches it.  Every scanned point therefore has a threshold
+    # alpha >= alphas[f], each column's admissible points are its whole
+    # j-range, and the smallest alpha is the largest tau.  tau is linear in
+    # j, so a column's largest tau is at the low end of its range when w_f's
+    # second coordinate is >= 0 (on ties, the lexicographically first
+    # point) and at the high end otherwise.
+    wf = tri.body.rows[f]
+    coeffs = [_tilt_coeff(tri, beta, g, alphas[g]) for g in range(3)]
+    c_cur = coeffs[f]
+    tau_min = c_cur - margin
+    positive = f == 2 and tau_min <= 0
+    if positive:
+        tau_min = ZERO
+    others = [(tri.body.rows[g], coeffs[g]) for g in range(3) if g != f]
+    b1, b2 = tri.b
+    best = None  # (-tau, point)
     for k in range(1, k_window + 1):
-        tau_min = c_cur - margin
-        if f == 2 and tau_min < 0:
-            tau_min = ZERO
-        region = []
-        for g in range(3):
-            if g == f:
-                continue
-            cg = _tilt_coeff(tri, beta, g, alphas[g])
-            region.append((rows2[g], 1 - cg * k))
-        region.append((tuple(-c for c in rows2[f]), -(1 - c_cur * k)))
-        region.append((rows2[f], 1 - tau_min * k))
-        for x in _base_points_in_rows(tri.lattice, region):
-            others_strict = all(
-                dot(rows2[g], x) + _tilt_coeff(tri, beta, g, alphas[g]) * k < 1
-                for g in range(3)
-                if g != f
-            )
-            if not others_strict:
-                continue
-            tau = (1 - dot(rows2[f], x)) / k
-            if tau > c_cur:
-                continue  # already strictly inside along this row; cannot happen when free
-            alpha_x = _tilt_alpha_from_coeff(tri, beta, f, tau) if tau != c_cur else cur
-            if alpha_x is None or alpha_x >= 1:
-                continue
-            if alpha_x < cur:
-                continue
-            cands.append((alpha_x, (x[0], x[1], Fraction(k))))
-    return cands
+        closed = [((-wf[0], -wf[1]), c_cur * k - 1)]  # tau <= c_cur
+        strict = [(w, 1 - c * k) for w, c in others]
+        (strict if positive else closed).append((wf, 1 - tau_min * k))
+        for i, jlo, jhi in _columns(tri.b, closed, strict):
+            x = (b1 + i, b2 + (jhi if wf[1] < 0 else jlo))
+            cand = ((dot(wf, x) - 1) / k, (x[0], x[1], Fraction(k)))
+            if best is None or cand < best:
+                best = cand
+    if best is None:
+        return None
+    tau = -best[0]
+    alpha = alphas[f] if tau == c_cur else _tilt_alpha_from_coeff(tri, beta, f, tau)
+    return alpha, best[1]
 
 
 def tilt(tri: Type3Triangle, beta, budget: Budget = Budget()) -> TiltResult:
@@ -589,17 +592,21 @@ def tilt(tri: Type3Triangle, beta, budget: Budget = Budget()) -> TiltResult:
     for f in (2, 1, 0):
         margin = Fraction(budget.window)
         k_window = budget.window
-        cands = []
+        tried = []
         for _ in range(5):
-            cands = _stage_candidates(tri, beta, tuple(alphas), f, margin, k_window)
-            if cands:
+            tried.append((margin, k_window))
+            found = _stage_binding(tri, beta, tuple(alphas), f, margin, k_window)
+            if found is not None:
                 break
             margin *= 2
             k_window *= 2
-        if not cands:
-            raise WindowTooSmall(f"no tilt candidates for facet {f + 1}")
+        if found is None:
+            windows = ", ".join(f"({m}, {k})" for m, k in tried)
+            raise WindowTooSmall(
+                f"no tilt candidates for facet {f + 1}; (margin, k_window) tried: {windows}"
+            )
+        astar, binding = found
         while True:
-            astar = min(a for a, _ in cands)
             trial = list(alphas)
             trial[f] = astar
             body = _tilt_rows(tri, beta, tuple(trial))
@@ -611,7 +618,7 @@ def tilt(tri: Type3Triangle, beta, budget: Budget = Budget()) -> TiltResult:
                 )
             if cert.free:
                 alphas[f] = astar
-                bindings[f] = min(p for a, p in cands if a == astar)
+                bindings[f] = binding
                 break
             x = cert.witness
             if x[2] == 0:
@@ -621,7 +628,7 @@ def tilt(tri: Type3Triangle, beta, budget: Budget = Budget()) -> TiltResult:
             alpha_x = _tilt_alpha_from_coeff(tri, beta, f, tau)
             if alpha_x is None or not (alphas[f] <= alpha_x < astar):
                 raise CertificateMismatch("tilt verification produced a bad witness")
-            cands.append((alpha_x, x))
+            astar, binding = alpha_x, x
 
     body = _tilt_rows(tri, beta, tuple(alphas))
     apex = _solve3(body.rows)

@@ -155,8 +155,10 @@ class TestExitCodes:
             "{not json",
             json.dumps({"body": {"type": "rows", "rows": [["1", "0"], ["-1", "1"]]}}),
             json.dumps({"body": {"type": "type3-mixing", "b": ["-1/4", "three"]}}),
+            json.dumps({"body": {"type": "rows", "rows": [["2"], ["-2"]]},
+                        "lattice": {"dim": 1, "shift": ["1/2"]}}),
         ],
-        ids=["not-json", "rows-without-lattice", "bad-rational"],
+        ids=["not-json", "rows-without-lattice", "bad-rational", "rows-1d-lattice"],
     )
     def test_malformed_instance_exits_two(self, text, tmp_path, capsys):
         path = tmp_path / "malformed.json"

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from liftfix.errors import (
     DimensionMismatch,
@@ -14,6 +15,7 @@ from liftfix.errors import (
 from liftfix.exactgeo import HPoly
 from liftfix.lattice import (
     Lattice,
+    _scan,
     contains,
     naive_box_points,
     points_in,
@@ -231,3 +233,60 @@ class TestPointsIn:
         base = points_in(S, tri)
         got_h0 = tuple(p[:2] for p in pts if p[2] == 0)
         assert set(got_h0) == set(base)
+
+
+SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+SIDE = st.fractions(min_value=0, max_value=4, max_denominator=4)
+ROW = st.tuples(st.tuples(COEFF, COEFF), SMALL, st.booleans())  # (a, c, strict)
+UNITS = ((F(1), F(0)), (F(-1), F(0)), (F(0), F(1)), (F(0), F(-1)))
+B_DEG = (F(1, 3), F(-1, 2))
+
+
+class TestScanKernel:
+    """The integer scanline against the naive residue box scan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shift=st.tuples(SMALL, SMALL).filter(lambda b: any(c.denominator > 1 for c in b)),
+        anchor=st.one_of(st.none(), st.tuples(st.integers(-3, 3), st.integers(-3, 3))),
+        corner=st.tuples(SMALL, SMALL),
+        size=st.tuples(SIDE, SIDE),
+        box_strict=st.tuples(*[st.booleans()] * 4),
+        line=st.one_of(st.none(), st.tuples(COEFF, COEFF)),
+        extra=st.lists(ROW, max_size=3),
+    )
+    # one lattice point, a diagonal segment of three, and an empty strip
+    @example(B_DEG, (0, 0), None, (F(0), F(0)), (False,) * 4, None, [])
+    @example(B_DEG, (0, 0), None, (F(2), F(2)), (False,) * 4, (F(1), F(-1)), [])
+    @example(B_DEG, None, (F(0), F(0)), (F(1, 4), F(3)), (False,) * 4, None, [])
+    def test_matches_naive_box_points(self, shift, anchor, corner, size, box_strict, line, extra):
+        # an anchored corner is a lattice point, so zero sizes give a point
+        # or a segment of S, and the line through it holds lattice points
+        x0, y0 = corner if anchor is None else (shift[0] + anchor[0], shift[1] + anchor[1])
+        w, h = size
+        rhs = (x0 + w, -x0, y0 + h, -y0)
+        rows = [(a, c, strict) for a, c, strict in zip(UNITS, rhs, box_strict)]
+        rows += [((F(a1), F(a2)), c, strict) for (a1, a2), c, strict in extra]
+        if line is not None:
+            a = tuple(F(v) for v in line)
+            c = dot(a, (x0, y0))
+            rows += [(a, c, False), ((-a[0], -a[1]), -c, False)]
+        closed = [(a, c) for a, c, strict in rows if not strict]
+        strict_rows = [(a, c) for a, c, strict in rows if strict]
+        want = naive_box_points(
+            Lattice(2, shift),
+            (x0, x0 + w, y0, y0 + h),
+            lambda p: all(dot(a, p) < c if s else dot(a, p) <= c for a, c, s in rows),
+        )
+        assert tuple(_scan(shift, closed, strict_rows)) == want
+
+    def test_degenerate_and_unbounded_regions(self):
+        point = (F(1, 3), F(1, 2))
+        rows = [(a, c) for a, c in zip(UNITS, (point[0], -point[0], point[1], -point[1]))]
+        assert tuple(_scan(B_DEG, rows)) == (point,)
+        assert tuple(_scan(B_DEG, rows[:3], rows[3:])) == ()
+        # a half-plane recedes; an infeasible pair of half-planes is empty
+        with pytest.raises(UnboundedRegion):
+            tuple(_scan(B_DEG, rows[:1]))
+        assert tuple(_scan(B_DEG, [rows[0], (UNITS[1], -point[0] - 1)])) == ()

@@ -10,10 +10,12 @@ from liftfix.errors import (
     ClaimViolated,
     DomainViolation,
     PreconditionViolated,
+    WindowTooSmall,
 )
-from liftfix.exactgeo import HPoly, area, convex_hull, vertices2
+from liftfix.exactgeo import HPoly, area, convex_hull, vertices2, vertices_from_rows
 from liftfix.gauge import Budget, check_sfree, lifting_cone, psi
 from liftfix.fixing import fix_approx, spindle
+from liftfix.lattice import naive_box_points
 from liftfix.rational import dot, vadd, vscale, vsub
 from liftfix.type3 import (
     apex_condition_value,
@@ -28,6 +30,9 @@ from liftfix.type3 import (
     tilt_beta_bound,
     triangle_from_gammas,
     triangle_from_mixing,
+    _stage_binding,
+    _tilt_alpha_from_coeff,
+    _tilt_coeff,
     _tilt_rows,
 )
 
@@ -330,6 +335,105 @@ class TestTilt:
         assert all(dot(r, d) == 0 for r in rows.rows)
         culprit = (F(3, 4), F(5, 4), F(2))
         assert all(dot(r, culprit) < 1 for r in rows.rows)
+
+
+def stage_oracle(tri, beta, alphas, f, margin, k_window):
+    """Reference tilt stage: every point of a naive box scan, one by one.
+
+    Keeps each point of the stage region that is strictly inside the other
+    facets and whose threshold inverts to an admissible alpha, then returns
+    the smallest alpha with its lexicographically first point, or None.
+    """
+    rows2 = tri.body.rows
+    cur = alphas[f]
+    coeffs = [_tilt_coeff(tri, beta, g, alphas[g]) for g in range(3)]
+    c_cur = coeffs[f]
+    tau_min = c_cur - margin
+    if f == 2 and tau_min < 0:
+        tau_min = F(0)
+    cands = []
+    for k in range(1, k_window + 1):
+        region = [(rows2[g], 1 - coeffs[g] * k) for g in range(3) if g != f]
+        region.append((tuple(-c for c in rows2[f]), -(1 - c_cur * k)))
+        region.append((rows2[f], 1 - tau_min * k))
+        poly = vertices_from_rows(region)
+        if poly.is_empty:
+            continue
+        inside = naive_box_points(
+            tri.lattice, poly.bbox(), lambda p: all(dot(a, p) <= c for a, c in region)
+        )
+        for x in inside:
+            if not all(dot(rows2[g], x) + coeffs[g] * k < 1 for g in range(3) if g != f):
+                continue
+            tau = (1 - dot(rows2[f], x)) / k
+            if tau > c_cur:
+                continue
+            alpha_x = _tilt_alpha_from_coeff(tri, beta, f, tau) if tau != c_cur else cur
+            if alpha_x is None or alpha_x >= 1 or alpha_x < cur:
+                continue
+            cands.append((alpha_x, (x[0], x[1], F(k))))
+    if not cands:
+        return None
+    astar = min(a for a, _ in cands)
+    return astar, min(p for a, p in cands if a == astar)
+
+
+class TestStageBinding:
+    """The column-selecting tilt stage against the per-point reference."""
+
+    @pytest.mark.parametrize("b", [B1, B2])
+    @pytest.mark.parametrize("beta", [F(4), F(9, 2), F(5)])
+    def test_tilt_stages_match_reference(self, b, beta):
+        tri = triangle_from_mixing(b)
+        _, a2, a3 = tilt(tri, beta).alphas
+        c3 = _tilt_coeff(tri, beta, 2, F(0))
+        stages = [
+            # facet 3's tau > 0 edge is a strict row: the margin reaches past 0
+            ((F(0), F(0), F(0)), 2, F(12), 12),
+            # the margin stops short of 0 and still holds the binding point
+            ((F(0), F(0), F(0)), 2, c3 * 7 / 8, 12),
+            # the margin stops short of the binding point: nothing enters
+            ((F(0), F(0), F(0)), 2, c3 / 4, 12),
+            ((F(0), F(0), a3), 1, F(1), 3),
+            ((F(0), a2, a3), 0, F(1), 3),
+        ]
+        got = [_stage_binding(tri, beta, *stage) for stage in stages]
+        assert got == [stage_oracle(tri, beta, *stage) for stage in stages]
+        assert [g is None for g in got] == [False, False, True, False, False]
+        assert got[0][0] == got[1][0] == a3
+
+    def test_facet_three_takes_positive_thresholds_only(self):
+        # near alpha3 = 1 the window past tau = 0 holds lattice points, but
+        # none with a positive threshold, so none can enter through facet 3
+        tri = triangle_from_mixing(B1)
+        alphas = (F(0), F(0), F(15, 16))
+        assert stage_oracle(tri, F(4), alphas, 2, F(1), 1) is None
+        assert _stage_binding(tri, F(4), alphas, 2, F(1), 1) is None
+
+    def test_random_draws_and_states_match_reference(self):
+        # arbitrary current alphas: the binding alpha is then usually above
+        # the current one, and facet 3's margin edge falls on either side of 0
+        rng = random.Random(6)
+        outcomes = set()
+        for _ in range(6):
+            tri = random_valid_triangle(rng)
+            beta = tilt_beta_bound(tri) + rng.choice([F(1, 2), F(1), F(2)])
+            alphas = tuple(F(rng.randint(0, 7), 8) for _ in range(3))
+            for f in range(3):
+                want = stage_oracle(tri, beta, alphas, f, F(1), 4)
+                assert _stage_binding(tri, beta, alphas, f, F(1), 4) == want
+                outcomes.add(want is not None and want[0] > alphas[f])
+        assert outcomes == {True, False}
+
+    def test_window_too_small_lists_the_windows_tried(self, monkeypatch):
+        monkeypatch.setattr("liftfix.type3._stage_binding", lambda *args: None)
+        with pytest.raises(WindowTooSmall) as exc:
+            tilt(triangle_from_mixing(B1), 4)
+        assert exc.value.exit_code == 3
+        assert str(exc.value) == (
+            "no tilt candidates for facet 3; (margin, k_window) tried: "
+            "(12, 12), (24, 24), (48, 48), (96, 96), (192, 192)"
+        )
 
 
 class TestFixedBall:
