@@ -588,8 +588,3 @@ def torus_cover(polys) -> tuple:
             if witness is None and y_prev < 1:
                 witness = (xm, (y_prev + 1) / 2)
     return total, witness
-
-
-def torus_union_area(polys) -> Fraction:
-    """Exact area of (union of polys + Z^2) intersected with [0,1]^2."""
-    return torus_cover(polys)[0]

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    DimensionMismatch,
     NotArgmax,
     OriginNotInterior,
     PreconditionViolated,
@@ -144,6 +145,8 @@ def fix_approx(g: Gauge, cert: LiftCert) -> FixApprox:
     Height-0 pairs contribute the classical lifting-region spindles; ties in
     the maximizing row produce one spindle per row (the union only grows).
     """
+    if g.body.dim != 2:
+        raise DimensionMismatch(f"fixing regions need a 2-D body, got dimension {g.body.dim}")
     pieces = []
     for x, k in boundary_pairs(g, cert):
         anchor = vsub(x, vscale(k, cert.pstar))

@@ -134,9 +134,8 @@ def _sublevel_points(g: Gauge, center: Vec, level):
 
 
 def _integer_sublevel(g: Gauge, offset: Vec, level):
-    """Integer vectors z with psi(offset + z) <= level, in lexicographic order."""
-    rows = [(a, level - dot(a, offset)) for a in g.body.rows]
-    return tuple(_scan((Fraction(0), Fraction(0)), rows))
+    """Points y of offset + Z^n with psi(y) <= level, in lexicographic order."""
+    return tuple(_scan(offset, [(a, level) for a in g.body.rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +168,20 @@ class ConeCheck:
     boundary: tuple  # ((x, height), ...) all heights >= 0
 
 
-def _cone_walk(g: Gauge, pstar: Vec, lam, top=1, base=(0, 0)):
+def _cone_walk(g: Gauge, pstar: Vec, lam, top=1, base=None):
     """Yield (x, k, slack) over the integer height slices of a lifted cone.
 
     The height-k slice is (base + k*pstar) + c*B with c = top - k*lam, for
-    k = 0, 1, ... while c >= 0.  Its points x of S come in (k, x) order with
-    slack c - psi(x - base - k*pstar): zero on the cone's boundary and
-    positive inside it.
+    k = 0, 1, ... while c >= 0; no base means the origin.  Its points x of S
+    come in (k, x) order with slack c - psi(x - base - k*pstar): zero on the
+    cone's boundary and positive inside it.
     """
     k = 0
     while True:
         c = top - k * lam
         if c < 0:
             return
-        center = vadd(base, vscale(k, pstar))
+        center = vscale(k, pstar) if base is None else vadd(base, vscale(k, pstar))
         for x in _sublevel_points(g, center, c):
             yield x, k, c - psi(g, vsub(x, center))
         k += 1
@@ -339,15 +338,15 @@ def phi_eval(cert: LiftCert, g: Gauge, p: Vec, budget: Budget = Budget()) -> Fra
     V = cert.value
     pstar = cert.pstar
     best = psi(g, p)
-    for z in _integer_sublevel(g, p, best):
-        best = min(best, psi(g, vadd(p, z)))
+    for y in _integer_sublevel(g, p, best):
+        best = min(best, psi(g, y))
     N = 1
     while N * V < best:
         if N > budget.n_max:
             raise BudgetExceeded(f"fill-in search passed N = {budget.n_max}")
         offset = vsub(p, vscale(N, pstar))
-        for z in _integer_sublevel(g, offset, best - N * V):
-            best = min(best, psi(g, vadd(offset, z)) + N * V)
+        for y in _integer_sublevel(g, offset, best - N * V):
+            best = min(best, psi(g, y) + N * V)
         N += 1
     return best
 
@@ -378,7 +377,7 @@ def psi_star_eval(cert: LiftCert, g: Gauge, point: Vec, budget: Budget = Budget(
         if z > budget.n_max:
             raise BudgetExceeded(f"descent search passed {budget.n_max} height steps")
         offset = vsub(p2, vscale(hz, pstar))
-        for w in _integer_sublevel(g, offset, cz):
-            best = min(best, psi(g, vadd(offset, w)) + hz * V)
+        for y in _integer_sublevel(g, offset, cz):
+            best = min(best, psi(g, y) + hz * V)
         z += 1
     return best

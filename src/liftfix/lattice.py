@@ -5,13 +5,13 @@ where lifted cones live.  Truncation by a rational polyhedron is carried as
 data but automatic translation-group computation for truncated lattices is
 deliberately not attempted; the caller must declare the group.
 
-Enumeration of lattice points inside a polyhedral region works by slicing
-tail coordinates at integer heights (the set of nonempty heights of a convex
-region is an interval) and running an exact integer scanline over each 2-D
-slice: every row is scaled once to integer coefficients, and each column's
-exact range of points comes from integer floor and ceil division, so no
-cell outside the region is visited.  Output order is lexicographic, so
-repeated runs are bit-identical.
+Lattice points inside a polyhedral region are enumerated by one exact
+integer scanline in any dimension: every row is scaled once to integer
+coefficients, coordinates are eliminated from last to first by integer
+Fourier-Motzkin, and each coordinate's range given the ones before it comes
+from integer floor and ceil division.  A tail coordinate is an ordinary
+scan coordinate with shift 0 and the row -t <= 0.  Output order is
+lexicographic, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     TruncationNeedsExplicitGroup,
     UnboundedRegion,
 )
-from .exactgeo import HPoly, fm_feasible, fm_upper_bound
+from .exactgeo import HPoly
 from .rational import Vec, dot, is_integral, rat
 
 
@@ -103,103 +103,103 @@ def translation_group(lat: Lattice) -> TranslationGroup:
 
 
 def _columns(shift, rows, strict_rows=()):
-    """Exact integer scanline over the points shift + (i, j) of a 2-D region.
+    """Exact integer scanline over the points shift + z, z in Z^n, of a region.
 
     The region is a.x <= c over `rows` and a.x < c over `strict_rows`.  Each
-    row is rewritten once as A1*i + A2*j <= C, scaled by the common
-    denominator of a and c - a.shift; a strict row becomes <= C - 1.  Yields
-    (i, jlo, jhi) for every column with a point, i ascending, where jlo..jhi
-    are exactly the column's points.  The column range is the i-range of the
-    closed region, by Fourier-Motzkin elimination of j; a closed region that
-    is nonempty and unbounded raises UnboundedRegion.
+    row becomes the integer row A.z <= C once: A = m*a for the common
+    denominator m of a and c, and C is the largest integer at most (below,
+    for a strict row) m*(c - a.shift).  Coordinates are then eliminated from
+    last to first by integer Fourier-Motzkin; each new row is divided by the
+    gcd of its coefficients and its right-hand side floored, which keeps
+    every lattice point.  Returns an iterator of (prefix, lo, hi) for every
+    prefix of the first n - 1 coordinates whose last coordinate has points,
+    in lexicographic order, where lo..hi are exactly those points.  A region
+    that is not empty on its first coordinate and leaves some coordinate
+    unbounded raises UnboundedRegion.
     """
-    b1, b2 = shift
-    ints = []  # (A1, A2, C, C less one when strict)
+    T = math.lcm(*[b.denominator for b in shift])  # shift = s/T
+    s = [b.numerator * (T // b.denominator) for b in shift]
+    level = []  # (A, C) meaning A.z <= C
     for strict, group in ((0, rows), (1, strict_rows)):
-        for (a1, a2), c in group:
-            r = c - a1 * b1 - a2 * b2
-            m = math.lcm(a1.denominator, a2.denominator, r.denominator)
-            C = r.numerator * (m // r.denominator)
-            ints.append((a1.numerator * (m // a1.denominator),
-                         a2.numerator * (m // a2.denominator), C, C - strict))
-    upper = [t for t in ints if t[1] > 0]
-    lower = [t for t in ints if t[1] < 0]
-    flat = [(A1, C, Cs) for A1, A2, C, Cs in ints if A2 == 0]
-    # e*i <= f: the flat rows, and each upper row against each lower row
-    bounds = [(A1, C) for A1, C, _ in flat] + [
-        (u2 * l1 - l2 * u1, u2 * lc - l2 * uc)
-        for u1, u2, uc, _ in upper
-        for l1, l2, lc, _ in lower
-    ]
-    lo = hi = None
-    for e, f in bounds:
-        if e > 0:
-            hi = Fraction(f, e) if hi is None else min(hi, Fraction(f, e))
-        elif e < 0:
-            lo = Fraction(f, e) if lo is None else max(lo, Fraction(f, e))
-        elif f < 0:
-            return
-    if lo is not None and hi is not None and lo > hi:
-        return
-    if lo is None or hi is None or not upper or not lower:
-        raise UnboundedRegion("2-D slice has a recession direction")
-    for i in range(math.ceil(lo), math.floor(hi) + 1):
-        if any(A1 * i > Cs for A1, _, Cs in flat):
-            continue
-        jhi = min((Cs - A1 * i) // A2 for A1, A2, _, Cs in upper)
-        jlo = max(-((Cs - A1 * i) // -A2) for A1, A2, _, Cs in lower)
-        if jlo <= jhi:
-            yield i, jlo, jhi
+        for a, c in group:
+            m = math.lcm(c.denominator, *[x.denominator for x in a])
+            A = [x.numerator * (m // x.denominator) for x in a]
+            X = c.numerator * (m // c.denominator) * T - sum([u * v for u, v in zip(A, s)])
+            level.append((A, (X - strict) // T))
+    levels = [level]
+    recedes = False
+    for k in range(len(shift) - 1, 0, -1):
+        up = [(A, C) for A, C in level if A[k] > 0]
+        down = [(A, C) for A, C in level if A[k] < 0]
+        recedes = recedes or not up or not down
+        level = [(A[:k], C) for A, C in level if not A[k]]
+        for Au, Cu in up:
+            for Al, Cl in down:
+                su, sl = -Al[k], Au[k]
+                E = [su * u + sl * v for u, v in zip(Au[:k], Al[:k])]
+                F = su * Cu + sl * Cl
+                g = math.gcd(*E)
+                level.append(([e // g for e in E], F // g) if g else (E, F))
+        levels.append(level)
+    hi = min((f // e for (e,), f in level if e > 0), default=None)
+    lo = max((-(f // -e) for (e,), f in level if e < 0), default=None)
+    if any(f < 0 for (e,), f in level if not e) or (lo is not None and hi is not None and lo > hi):
+        return iter(())
+    if lo is None or hi is None or recedes:
+        raise UnboundedRegion("region has a recession direction")
+    levels.reverse()
+    return _walk(levels, 0, (), lo, hi) if len(levels) > 1 else iter([((), lo, hi)])
+
+
+def _walk(levels, k, prefix, lo, hi):
+    """The (prefix, lo, hi) of `_columns` below a prefix whose coordinate k is in lo..hi."""
+    # the rows bounding coordinate k + 1, as (A[k], |A[k + 1]|, C - A.prefix)
+    up, down = [], []
+    for A, C in levels[k + 1]:
+        b = A[k + 1]
+        if b:
+            r = (A[k], abs(b), C - sum([a * z for a, z in zip(A, prefix)]))
+            (up if b > 0 else down).append(r)
+    last = k + 2 == len(levels)
+    for v in range(lo, hi + 1):
+        h = min((R - a * v) // b for a, b, R in up)
+        l = max(-((R - a * v) // b) for a, b, R in down)
+        if l <= h:
+            if last:
+                yield prefix + (v,), l, h
+            else:
+                yield from _walk(levels, k + 1, prefix + (v,), l, h)
 
 
 def _scan(shift, rows, strict_rows=()):
     """The points of `_columns`, as coordinates, in lexicographic order."""
-    b1, b2 = shift
-    for i, jlo, jhi in _columns(shift, rows, strict_rows):
-        x = b1 + i
-        for j in range(jlo, jhi + 1):
-            yield x, b2 + j
+    last = shift[-1]
+    for prefix, lo, hi in _columns(shift, rows, strict_rows):
+        x = tuple([b + i for b, i in zip(shift, prefix)])
+        for j in range(lo, hi + 1):
+            yield x + (last + j,)
 
 
 def points_in(lat: Lattice, region: HPoly, extra_rows=(), strict: bool = False):
     """All points of S inside the region (interior only when strict).
 
-    The region lives in the lattice's full dimension.  Tail coordinates are
-    sliced at integer heights k >= 0; an exact Fourier-Motzkin bound caps the
-    scan and a recession test raises UnboundedRegion instead of looping.
+    The region lives in the lattice's full dimension.  Each tail coordinate
+    is one more scan coordinate, with shift 0 and the row -t <= 0, so one
+    exact integer scanline enumerates the whole region, in lexicographic
+    order; a region that recedes raises UnboundedRegion instead of looping.
     """
     if region.dim != lat.full_dim:
         raise DimensionMismatch("region/lattice dimension mismatch")
     body = list(region.as_pairs()) + [(tuple(a), rat(c)) for a, c in extra_rows]
-    trunc = [
-        (tuple(a) + (Fraction(0),) * lat.tail, rat(c)) for a, c in lat.truncation or ()
+    zero = (Fraction(0),) * lat.tail
+    closed = [(tuple(a) + zero, rat(c)) for a, c in lat.truncation or ()]
+    closed += [
+        (tuple(-1 if j == t else 0 for j in range(lat.full_dim)), 0)
+        for t in range(lat.dim, lat.full_dim)
     ]
-    if strict:
-        found = _enumerate_slices(lat, trunc, body, lat.full_dim)
-    else:
-        found = _enumerate_slices(lat, body + trunc, [], lat.full_dim)
-    return tuple(sorted(found))
-
-
-def _enumerate_slices(lat: Lattice, rows, strict_rows, d: int):
-    """Points of the region, recursing on tail coordinates."""
-    if d == lat.dim:
-        return _scan(lat.shift, rows, strict_rows)
-    closed = rows + strict_rows
-    # recession direction with positive last coordinate => unbounded scan
-    rec_rows = [(a[:-1], -a[-1]) for a, _ in closed]
-    if fm_feasible(rec_rows, d - 1):
-        raise UnboundedRegion("region recedes along a tail coordinate")
-    hi = fm_upper_bound(closed, d, d - 1)
-    if hi is None:
-        raise UnboundedRegion("tail coordinate unbounded above")
-    out = []
-    for k in range(0, math.floor(hi) + 1):
-        sliced = [(a[:-1], c - a[-1] * k) for a, c in rows]
-        sliced_strict = [(a[:-1], c - a[-1] * k) for a, c in strict_rows]
-        for x in _enumerate_slices(lat, sliced, sliced_strict, d - 1):
-            out.append(tuple(x) + (Fraction(k),))
-    return out
+    if not strict:
+        closed, body = closed + body, []
+    return tuple(_scan(tuple(lat.shift) + zero, closed, body))
 
 
 def naive_box_points(lat: Lattice, bbox, pred) -> tuple:

@@ -39,9 +39,12 @@ def lattice_to_json(lat: Lattice) -> dict:
 
 
 def lattice_from_json(obj) -> Lattice:
+    dim = int(obj["dim"])
+    if dim not in (2, 3):
+        raise DomainViolation(f"lattice dim must be 2 or 3, got {dim}")
     trunc = obj.get("truncation")
     return Lattice(
-        dim=int(obj["dim"]),
+        dim=dim,
         shift=parse_vec(obj["shift"]),
         tail=int(obj.get("tail", 0)),
         truncation=None

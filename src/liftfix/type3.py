@@ -552,7 +552,7 @@ def _stage_binding(tri, beta, alphas, f, margin, k_window):
         closed = [((-wf[0], -wf[1]), c_cur * k - 1)]  # tau <= c_cur
         strict = [(w, 1 - c * k) for w, c in others]
         (strict if positive else closed).append((wf, 1 - tau_min * k))
-        for i, jlo, jhi in _columns(tri.b, closed, strict):
+        for (i,), jlo, jhi in _columns(tri.b, closed, strict):
             x = (b1 + i, b2 + (jhi if wf[1] < 0 else jlo))
             cand = ((dot(wf, x) - 1) / k, (x[0], x[1], Fraction(k)))
             if best is None or cand < best:

@@ -169,6 +169,61 @@ class TestExitCodes:
         assert err["error"]["type"] == "DomainViolation"
 
 
+CROSS3 = {
+    "body": {
+        "type": "rows",
+        "rows": [[f"{2 * s1}/3", f"{2 * s2}/3", f"{2 * s3}/3"]
+                 for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)],
+    },
+    "lattice": {"dim": 3, "shift": ["-1/2", "-1/2", "-1/2"]},
+}
+
+
+class TestThreeDimensionalRows:
+    """A 3-D rows body: gauge and lift commands run, fix commands exit 2."""
+
+    @pytest.fixture()
+    def cross_path(self, tmp_path):
+        path = tmp_path / "cross.json"
+        path.write_text(json.dumps(CROSS3), encoding="utf-8")
+        return str(path)
+
+    def test_gauge_free(self, cross_path, tmp_path):
+        code, data = run_cli(["gauge", "free", "--instance", cross_path], tmp_path, "f.json")
+        assert code == 0
+        cert = json.loads(data)["certificate"]
+        assert cert["free"] is True
+        assert [len(hits) for hits in cert["facet_hits"]] == [1] * 8
+
+    def test_lift_value(self, cross_path, tmp_path):
+        args = ["lift", "value", "--instance", cross_path, "--pstar", "1/4,1/8,1/16"]
+        code, data = run_cli(args, tmp_path, "v.json")
+        assert code == 0
+        cert = json.loads(data)["certificate"]
+        assert cert["value"] == "7/24"
+        assert cert["blocking"] == [[["1/2", "1/2", "1/2"], 1], [["1/2", "1/2", "1/2"], 2]]
+
+    def test_fix_cover_needs_a_2d_body(self, cross_path, capsys):
+        code = main(["fix", "cover", "--instance", cross_path, "--pstar", "1/4,1/8,1/16"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "DimensionMismatch"
+        assert "2-D body" in err["message"]
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_unsupported_lattice_dim_exits_two(self, dim, tmp_path, capsys):
+        inst = {
+            "body": {"type": "rows", "rows": [["2"] + ["0"] * (dim - 1), ["-2"] + ["0"] * (dim - 1)]},
+            "lattice": {"dim": dim, "shift": ["1/2"] * dim},
+        }
+        path = tmp_path / "dim.json"
+        path.write_text(json.dumps(inst), encoding="utf-8")
+        code = main(["gauge", "free", "--instance", str(path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "DomainViolation", "message": f"lattice dim must be 2 or 3, got {dim}"}
+
+
 def _strip_timing(data: bytes) -> bytes:
     obj = json.loads(data)
     obj.pop("timing", None)

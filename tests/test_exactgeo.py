@@ -16,7 +16,7 @@ from liftfix.exactgeo import (
     cone_slice,
     convex_hull,
     convex_intersection,
-    torus_union_area,
+    torus_cover,
     union_area,
     vertices2,
     vertices_from_rows,
@@ -237,7 +237,7 @@ class TestCrossValidation:
             polys = [p for p in polys if len(p.vertices) >= 3]
             if not polys:
                 continue
-            assert torus_union_area(polys) == inclusion_exclusion_area(polys)
+            assert torus_cover(polys)[0] == inclusion_exclusion_area(polys)
             done += 1
 
     def test_plane_union_matches_inclusion_exclusion(self):
@@ -274,12 +274,12 @@ class TestCrossValidation:
 
 class TestTorusUnion:
     def test_unit_square_tiles(self):
-        assert torus_union_area([UNIT]) == 1
+        assert torus_cover([UNIT])[0] == 1
 
     def test_two_disjoint_quarters(self):
         q1 = square((0, 0), (F(1, 2), 0), (F(1, 2), F(1, 2)), (0, F(1, 2)))
         q2 = square((F(1, 2), F(1, 2)), (1, F(1, 2)), (1, 1), (F(1, 2), 1))
-        assert torus_union_area([q1, q2]) == F(1, 2)
+        assert torus_cover([q1, q2])[0] == F(1, 2)
 
     def test_translation_invariance(self):
         rng = random.Random(3)
@@ -289,10 +289,10 @@ class TestTorusUnion:
                 for _ in range(3)
             ]
             polys = [p for p in polys if len(p.vertices) >= 3]
-            base = torus_union_area(polys)
+            base = torus_cover(polys)[0]
             t = (F(rng.randint(-3, 3)), F(rng.randint(-3, 3)))
             shifted = [polys[0].translate(t)] + polys[1:] if polys else polys
-            assert torus_union_area(shifted) == base
+            assert torus_cover(shifted)[0] == base
 
     def test_repeat_runs_identical(self):
         rng = random.Random(5)
@@ -300,4 +300,4 @@ class TestTorusUnion:
             convex_hull([(rand_rat(rng, -1, 1, 4), rand_rat(rng, -1, 1, 4)) for _ in range(5)])
             for _ in range(4)
         ]
-        assert torus_union_area(polys) == torus_union_area(polys)
+        assert torus_cover(polys)[0] == torus_cover(polys)[0]

@@ -5,6 +5,7 @@ first and the pipeline answers are checked against them; frozen constants in
 this file were produced by those oracles.
 """
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -113,6 +114,39 @@ class TestFreeness:
         pyr = pyramid(tri)
         cert = check_sfree(pyr.body, tri.lattice.with_tail(1))
         assert cert.free
+
+
+class TestCrossPolytope:
+    """|x|_1 <= 3/2 over (-1/2, -1/2, -1/2) + Z^3: a 3-D lattice-free body."""
+
+    @pytest.fixture(scope="class")
+    def g3(self):
+        rows = tuple(
+            tuple(F(2, 3) * v for v in signs) for signs in itertools.product((1, -1), repeat=3)
+        )
+        return Gauge(HPoly(3, rows), Lattice(3, (F(-1, 2),) * 3))
+
+    def test_free_with_one_boundary_point_per_facet(self, g3):
+        cert = check_sfree(g3.body, g3.lattice)
+        assert cert.free
+        # facet 2/3 (s1, s2, s3) is touched by the cube corner (s1, s2, s3)/2
+        assert cert.facet_hits == tuple(
+            (tuple(F(v, 2) for v in signs),) for signs in itertools.product((1, -1), repeat=3)
+        )
+
+    @pytest.mark.parametrize(
+        "pstar, value, blocking",
+        [
+            ((F(1, 4), F(1, 8), F(1, 16)), F(7, 24), 2),
+            ((F(1, 2), F(0), F(0)), F(1, 3), 4),
+        ],
+    )
+    def test_lift_value_and_geometric_check(self, g3, pstar, value, blocking):
+        cert = v_psi(g3, pstar)
+        assert cert.value == value
+        assert len(cert.blocking) == blocking
+        geom = v_psi_geometric(g3, pstar, value)
+        assert geom.free and geom.tight
 
 
 class TestLiftingCone:

@@ -1,5 +1,6 @@
 """Shifted-lattice membership, translation groups, and enumeration."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -209,6 +210,12 @@ class TestPointsIn:
             if any(lo is None or hi is None for lo, hi in bounds[:2]):
                 continue
             hhi = bounds[2][1]
+            # a.(b + (i, j, 0)) + a3 k <= 1 as the integer row A.(i, j, k) <= C
+            int_rows = []
+            for a in rows:
+                c = 1 - a[0] * b[0] - a[1] * b[1]
+                m = math.lcm(c.denominator, *(v.denominator for v in a))
+                int_rows.append(([int(v * m) for v in a], int(c * m)))
             want = []
             for i in range(
                 math.ceil(bounds[0][0] - b[0]), math.floor(bounds[0][1] - b[0]) + 1
@@ -217,9 +224,8 @@ class TestPointsIn:
                     math.ceil(bounds[1][0] - b[1]), math.floor(bounds[1][1] - b[1]) + 1
                 ):
                     for k in range(0, (0 if hhi is None else math.floor(hhi)) + 1):
-                        x = (b[0] + i, b[1] + j, F(k))
-                        if all(dot(a, x) <= 1 for a in rows):
-                            want.append(x)
+                        if all(A[0] * i + A[1] * j + A[2] * k <= C for A, C in int_rows):
+                            want.append((b[0] + i, b[1] + j, F(k)))
             assert got == tuple(sorted(want))
             checked += 1
 
@@ -290,3 +296,108 @@ class TestScanKernel:
         with pytest.raises(UnboundedRegion):
             tuple(_scan(B_DEG, rows[:1]))
         assert tuple(_scan(B_DEG, [rows[0], (UNITS[1], -point[0] - 1)])) == ()
+
+
+ROW3 = st.tuples(st.tuples(COEFF, COEFF, COEFF), SMALL, st.booleans())  # (a, c, strict)
+UNITS3 = tuple(
+    tuple(F(sign) if j == i else F(0) for j in range(3)) for i in range(3) for sign in (1, -1)
+)
+# a shift coordinate is a fraction, or 0 as for a tail coordinate
+SHIFT3 = st.tuples(*[st.one_of(st.just(F(0)), SMALL)] * 3)
+B3 = (F(1, 3), F(-1, 2), F(0))
+
+
+def box_points_3d(shift, box, pred):
+    """Every point of shift + Z^3 in the box ((lo, hi) per coordinate) passing pred."""
+    ranges = [range(math.ceil(lo - b), math.floor(hi - b) + 1) for (lo, hi), b in zip(box, shift)]
+    pts = (tuple(b + z for b, z in zip(shift, zs)) for zs in itertools.product(*ranges))
+    return tuple(sorted(p for p in pts if pred(p)))
+
+
+def split_rows(rows):
+    return [(a, c) for a, c, s in rows if not s], [(a, c) for a, c, s in rows if s]
+
+
+class TestScanKernel3D:
+    """The integer scanline in three coordinates against a residue box scan."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shift=SHIFT3,
+        anchor=st.one_of(st.none(), st.tuples(*[st.integers(-2, 2)] * 3)),
+        corner=st.tuples(SMALL, SMALL, SMALL),
+        size=st.tuples(*[st.fractions(min_value=0, max_value=3, max_denominator=4)] * 3),
+        box_strict=st.tuples(*[st.booleans()] * 6),
+        planes=st.lists(st.tuples(COEFF, COEFF, COEFF), max_size=2),
+        extra=st.lists(ROW3, max_size=3),
+    )
+    # one lattice point, a plane and a segment through one, and an empty box
+    @example(B3, (0, 0, 0), None, (F(0),) * 3, (False,) * 6, [], [])
+    @example(B3, (0, 0, 0), None, (F(2),) * 3, (False,) * 6, [(F(1), F(-1), F(1))], [])
+    @example(B3, (0, 0, 0), None, (F(2),) * 3, (False,) * 6,
+             [(F(1), F(-1), F(0)), (F(0), F(1), F(-1))], [])
+    @example(B3, None, (F(1, 2), F(0), F(0)), (F(1, 4), F(3), F(3)), (False,) * 6, [], [])
+    def test_matches_box_oracle(self, shift, anchor, corner, size, box_strict, planes, extra):
+        # an anchored corner is a lattice point, so zero sizes give a point
+        # of S, and planes through it give flat regions that hold points
+        x0 = corner if anchor is None else tuple(b + z for b, z in zip(shift, anchor))
+        rhs = [c for x, w in zip(x0, size) for c in (x + w, -x)]
+        rows = list(zip(UNITS3, rhs, box_strict)) + list(extra)
+        for a in planes:
+            c = dot(a, x0)
+            rows += [(a, c, False), (tuple(-v for v in a), -c, False)]
+        want = box_points_3d(
+            shift,
+            [(x, x + w) for x, w in zip(x0, size)],
+            lambda p: all(dot(a, p) < c if s else dot(a, p) <= c for a, c, s in rows),
+        )
+        assert tuple(_scan(shift, *split_rows(rows))) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shift=SHIFT3,
+        anchor=st.tuples(*[st.integers(-2, 2)] * 3),
+        direction=st.tuples(*[st.integers(-2, 2)] * 3).filter(any),
+        rows=st.lists(st.tuples(st.tuples(COEFF, COEFF, COEFF), SIDE, st.booleans()), max_size=5),
+    )
+    # a plane through the lattice point, containing the direction
+    @example(B3, (0, 0, 0), (1, 1, 0),
+             [((F(1), F(-1), F(0)), F(0), False), ((F(-1), F(1), F(0)), F(0), False)])
+    def test_unbounded_region_with_a_lattice_point_raises(self, shift, anchor, direction, rows):
+        # every row holds the lattice point x0 (strictly when strict) and
+        # recedes along the direction, so x0 + t * direction stays inside
+        x0 = tuple(b + z for b, z in zip(shift, anchor))
+        region = []
+        for a, slack, strict in rows:
+            if dot(a, direction) > 0:
+                a = tuple(-v for v in a)
+            region.append((a, dot(a, x0) + slack, strict and slack > 0))
+        with pytest.raises(UnboundedRegion):
+            tuple(_scan(shift, *split_rows(region)))
+
+    def test_degenerate_and_unbounded_regions(self):
+        point = (F(1, 3), F(1, 2), F(-1))
+        box = list(zip(UNITS3, [c for x in point for c in (x, -x)]))
+        assert tuple(_scan(B3, box)) == (point,)
+        assert tuple(_scan(B3, box[:5], box[5:])) == ()
+        # a half-space recedes; a slab of no lattice point is empty, bounded or not
+        with pytest.raises(UnboundedRegion):
+            tuple(_scan(B3, box[:1]))
+        slab = [(UNITS3[0], F(2, 3)), (UNITS3[1], F(-1, 2))]
+        assert tuple(_scan(B3, slab)) == ()
+        assert tuple(_scan(B3, slab + box[2:])) == ()
+
+    def test_tail_coordinate_is_a_scan_coordinate(self):
+        # a cone over the cross-polytope |x|_1 <= 3/2: height k is the body
+        # scaled by 1 - k/3, which holds no point of S above height 0, so
+        # the points are the body's eight boundary points at height 0
+        lat = Lattice(3, (F(-1, 2),) * 3, tail=1)
+        rows = tuple(
+            tuple(F(2, 3) * v for v in signs) + (F(1, 3),)
+            for signs in itertools.product((1, -1), repeat=3)
+        )
+        got = points_in(lat, HPoly(4, rows))
+        corners = tuple(p + (F(0),) for p in itertools.product((F(-1, 2), F(1, 2)), repeat=3))
+        assert got == corners
+        with pytest.raises(UnboundedRegion):
+            points_in(lat, HPoly(4, tuple(a[:3] + (F(0),) for a in rows)))
