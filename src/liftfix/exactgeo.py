@@ -35,9 +35,6 @@ class _Unbounded:
 
 UNBOUNDED = _Unbounded()
 
-# A halfplane a.x <= c, kept un-normalized.
-Row = tuple  # tuple[Vec, Fraction]
-
 
 @dataclass(frozen=True)
 class HPoly:
@@ -95,10 +92,6 @@ class Polygon2:
     @property
     def is_empty(self) -> bool:
         return not self.vertices
-
-    @property
-    def area(self) -> Fraction:
-        return area(self)
 
     def translate(self, t: Vec) -> "Polygon2":
         return Polygon2(tuple(vadd(v, t) for v in self.vertices))
@@ -343,20 +336,6 @@ def clip(poly: Polygon2, halfplane) -> Polygon2:
     vs = poly.vertices
     if not vs:
         return poly
-    if len(vs) == 1:
-        return poly if dot(a, vs[0]) <= c else Polygon2(())
-    if len(vs) == 2:
-        p, q = vs
-        fp, fq = dot(a, p), dot(a, q)
-        if fp <= c and fq <= c:
-            return poly
-        if fp > c and fq > c:
-            return Polygon2(())
-        t = (c - fp) / (fq - fp)
-        m = vadd(p, tuple(t * d for d in vsub(q, p)))
-        kept = p if fp <= c else q
-        return Polygon2(tuple(sorted((kept, m)))) if kept != m else Polygon2((m,))
-
     out = []
     prev = vs[-1]
     fprev = dot(a, prev)

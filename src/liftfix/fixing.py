@@ -199,16 +199,18 @@ def cover_certify(f: FixApprox) -> CoverCert:
 def translate_instance(g: Gauge, cert: LiftCert, m: Vec):
     """Gauge for B + m over S + m, and the matching lifted point.
 
-    Row i of B + m is a_i / (1 + a_i . m); the lifted point is
-    pstar + value * m.  Requires 0 interior to B + m.
+    Row i of B + m is a_i / (1 + a_i . m); a truncation row a.x <= c moves
+    to a.x <= c + a.m; the lifted point is pstar + value * m.  Requires 0
+    interior to B + m.
     """
     m = tuple(rat(c) for c in m)
     for a in g.body.rows:
         if 1 + dot(a, m) <= 0:
             raise OriginNotInterior(f"1 + a.m <= 0 for row {a}")
     rows = tuple(tuple(c / (1 + dot(a, m)) for c in a) for a in g.body.rows)
-    shift = vadd(g.lattice.shift, m)
-    lat = Lattice(g.lattice.dim, shift, g.lattice.tail, g.lattice.truncation)
+    lat = g.lattice
+    trunc = None if lat.truncation is None else tuple((a, c + dot(a, m)) for a, c in lat.truncation)
+    lat = Lattice(lat.dim, vadd(lat.shift, m), lat.tail, trunc, lat.declared_group)
     phat = vadd(cert.pstar, vscale(cert.value, m))
     return Gauge(HPoly(g.body.dim, rows), lat), phat
 

@@ -7,9 +7,13 @@ two independent ways and cross-certified:
 * candidate search over lattice points (the algebraic route), and
 * freeness of the lifted cone with apex (p, 1)/lambda (the geometric route).
 
+Both scan S, truncation and tails included, through `lattice`,
+and stop at the height where psi's lower bound on S (`_psi_floor`, 0 on a
+bounded body) passes the cone.
 A LiftCert carries the value together with every boundary witness of the
 certifying cone, so third parties can re-verify with nothing but rational
-arithmetic.
+arithmetic.  The two liftings phi and psi* share one descent over
+Z^n-periodic cosets, which needs S = b + Z^n.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     CertificateMismatch,
@@ -24,10 +29,11 @@ from .errors import (
     NonpositiveLambda,
     NoPositiveValueWithinBudget,
     BudgetExceeded,
+    PreconditionViolated,
     UnboundedRegion,
 )
-from .exactgeo import HPoly, Polygon2, vertices2, UNBOUNDED
-from .lattice import Lattice, _scan, points_in
+from .exactgeo import HPoly, Polygon2, fm_upper_bound, vertices2, UNBOUNDED
+from .lattice import Lattice, _points, _scan, points_in
 from .rational import Vec, dot, rat, vadd, vscale, vsub
 
 
@@ -56,8 +62,22 @@ class Gauge:
         if self.body.dim != self.lattice.full_dim:
             raise DimensionMismatch("body and lattice dimensions differ")
 
-    def value(self, r: Vec) -> GaugeValue:
-        return psi_eval(self, r)
+    @cached_property
+    def psi_floor_rate(self) -> Fraction:
+        """min psi(r) over the r whose tail coordinates are all >= -1.
+
+        Negative when only S's tail rows bound the body; UnboundedRegion when
+        psi < 0 is left unbounded.  Zero on S = b + Z^n, where a scan of a
+        region with psi < 0 raises UnboundedRegion itself.
+        """
+        n = self.body.dim
+        # -min psi is the sup of u over a_i.r + u <= 0 and -r_t <= 1
+        rows = [(a + (1,), 0) for a in self.body.rows]
+        rows += [(tuple(-int(j == t) for j in range(n + 1)), 1) for t in range(self.lattice.dim, n)]
+        sup = 0 if self.lattice.periodic else fm_upper_bound(rows, n + 1, n)
+        if sup is None:
+            raise UnboundedRegion("psi has no lower bound per unit height: heights never close")
+        return -sup
 
     def body_polygon(self) -> Polygon2:
         poly = vertices2(self.body)
@@ -123,19 +143,31 @@ def lifting_cone(g: Gauge, pstar: Vec, lam) -> HPoly:
 # ---------------------------------------------------------------------------
 
 
+def _psi_floor(g: Gauge, c: Vec):
+    """A lower bound of psi(x - c) over S, superadditive in c.
+
+    The tail coordinates of x - c are at least -max(0, c_t) on S.
+    """
+    return g.psi_floor_rate * max((0, *c[g.lattice.dim :]))
+
+
+def _closing_rate(g: Gauge, p: Vec, lam) -> Fraction:
+    """lam + _psi_floor(g, p); psi(x - k*p) <= top - k*lam is empty once k*rate > top."""
+    if lam <= 0:
+        raise NonpositiveLambda(f"lambda must be positive, got {lam}")
+    rate = lam + _psi_floor(g, p)
+    if rate <= 0:
+        raise UnboundedRegion(f"lifted cone along {p} never closes at lambda {lam}")
+    return rate
+
+
 def _sublevel_points(g: Gauge, center: Vec, level):
     """Points x of S with psi(x - center) <= level, in lexicographic order.
 
-    psi(x - center) <= level is the set of rows a.x <= level + a.center,
-    whose points the exact scanline enumerates directly.
+    psi(x - center) <= level is the set of rows a.x <= level + a.center;
+    `lattice._points` adds the truncation and tail rows of S.
     """
-    rows = [(a, level + dot(a, center)) for a in g.body.rows]
-    return tuple(_scan(g.lattice.shift, rows))
-
-
-def _integer_sublevel(g: Gauge, offset: Vec, level):
-    """Points y of offset + Z^n with psi(y) <= level, in lexicographic order."""
-    return tuple(_scan(offset, [(a, level) for a in g.body.rows]))
+    return _points(g.lattice, [(a, level + dot(a, center)) for a in g.body.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +185,8 @@ class LiftCert:
     search_budget: dict = field(compare=False, default_factory=dict)
 
     def blocking_with_facets(self, g: Gauge) -> tuple:
-        out = []
-        for x, k in self.blocking:
-            gv = psi_eval(g, vsub(x, vscale(k, self.pstar)))
-            out.append((x, k, gv.argmax))
-        return tuple(out)
+        return tuple((x, k, psi_eval(g, vsub(x, vscale(k, self.pstar))).argmax)
+                     for x, k in self.blocking)
 
 
 @dataclass(frozen=True)
@@ -171,32 +200,28 @@ class ConeCheck:
 def _cone_walk(g: Gauge, pstar: Vec, lam, top=1, base=None):
     """Yield (x, k, slack) over the integer height slices of a lifted cone.
 
-    The height-k slice is (base + k*pstar) + c*B with c = top - k*lam, for
-    k = 0, 1, ... while c >= 0; no base means the origin.  Its points x of S
-    come in (k, x) order with slack c - psi(x - base - k*pstar): zero on the
-    cone's boundary and positive inside it.
+    The height-k slice is the points x with psi(x - base - k*pstar) <= c,
+    c = top - k*lam, for k = 0, 1, ... while c reaches psi's floor on S
+    (c >= 0 on a bounded body); no base means the origin.  Its points x of
+    S come in (k, x) order with slack c - psi(x - base - k*pstar): zero on
+    the cone's boundary and positive inside it.
     """
-    k = 0
-    while True:
+    reach = top - (0 if base is None else _psi_floor(g, base))
+    for k in range(math.floor(reach / _closing_rate(g, pstar, lam)) + 1):
         c = top - k * lam
-        if c < 0:
-            return
         center = vscale(k, pstar) if base is None else vadd(base, vscale(k, pstar))
         for x in _sublevel_points(g, center, c):
             yield x, k, c - psi(g, vsub(x, center))
-        k += 1
 
 
 def v_psi_geometric(g: Gauge, pstar: Vec, lam) -> ConeCheck:
     """Freeness of the lifted cone against S x Z_+, by integer-height slices.
 
-    The height-k slice of the cone is (k*pstar) + (1 - k*lam) * B, so the
-    scan is bounded: heights stop once 1 - k*lam goes negative.  The
-    boundary comes in (height, x) order.
+    The height-k slice of the cone is psi(x - k*pstar) <= 1 - k*lam, so the
+    scan is bounded: heights stop once 1 - k*lam falls below psi's floor
+    on S - k*pstar.  The boundary comes in (height, x) order.
     """
     lam = rat(lam)
-    if lam <= 0:
-        raise NonpositiveLambda(f"lambda must be positive, got {lam}")
     interior = None
     boundary = []
     for x, k, slack in _cone_walk(g, pstar, lam):
@@ -212,38 +237,38 @@ def v_psi(g: Gauge, pstar: Vec, budget: Budget = Budget()) -> LiftCert:
     """Smallest minimal-lifting coefficient at pstar, with certification.
 
     Candidate-first: scan lattice points x with x - N*pstar in the shrinking
-    sublevel window, value (1 - psi(x - N*pstar)) / N.  Once a positive best
-    exists, heights are capped at ceil(1/best), which makes the scan
+    sublevel window, value (1 - psi(x - N*pstar)) / N <= 1/N - floor, with
+    floor = _psi_floor(g, pstar) <= 0.  Once best + floor is positive,
+    heights are capped at ceil(1/(best + floor)), which makes the scan
     provably complete.  The result is then re-certified geometrically; a
     disagreement raises CertificateMismatch (a bug, never data).
     """
-    best = None
-    best_pair = None
+    floor = _psi_floor(g, pstar)
+    best = best_pair = cap = None
     N = 1
     scanned = 0
-    while True:
-        if best is not None and best > 0:
-            if N > math.ceil(1 / best):
-                break
-        elif N > budget.n_max:
+    while cap is None or N <= cap:
+        if cap is None and N > budget.n_max:
+            if best is not None and best > 0:
+                raise BudgetExceeded(
+                    f"heights not closed by N = {budget.n_max}: best {best} <= {-floor}"
+                )
             raise NoPositiveValueWithinBudget(
                 f"no positive candidate for N <= {budget.n_max}",
                 best=best,
                 witness=best_pair,
             )
         level = 1 - N * best if (best is not None and best > 0) else Fraction(1)
-        if level >= 0:
+        if level >= N * floor:
             center = vscale(N, pstar)
             for x in _sublevel_points(g, center, level):
                 scanned += 1
                 val = (1 - psi(g, vsub(x, center))) / N
                 if best is None or val > best:
                     best, best_pair = val, (x, N)
+                    if best + floor > 0:
+                        cap = math.ceil(1 / (best + floor))
         N += 1
-    if best is None or best <= 0:
-        raise NoPositiveValueWithinBudget(
-            "search exhausted without a positive candidate", best=best, witness=best_pair
-        )
 
     geom = v_psi_geometric(g, pstar, best)
     if not (geom.free and geom.tight):
@@ -256,7 +281,7 @@ def v_psi(g: Gauge, pstar: Vec, budget: Budget = Budget()) -> LiftCert:
         value=best,
         blocking=blocking,
         search_budget={"n_max": budget.n_max, "window": budget.window,
-                       "n_cap": math.ceil(1 / best), "scanned": scanned},
+                       "n_cap": cap, "scanned": scanned},
     )
 
 
@@ -280,9 +305,11 @@ def v_seq(g: Gauge, p1: Vec, p2: Vec, v1, budget: Budget = Budget()) -> SeqLiftC
     Searches the double-height candidate set: a boundary point (x, k1, k2)
     of the twice-lifted cone gives (1 - k1*v1 - psi(x - k1 p1 - k2 p2)) / k2.
     The k2 = 1..cap, k1 = 0..cap windows close exactly once the running best
-    is positive.  The value is verified free-and-tight on the 4-D cone.
+    is positive, with psi's floors along p1 and p2 as in v_psi.  The value
+    is verified free-and-tight on the 4-D cone.
     """
     v1 = rat(v1)
+    rate1, floor2 = _closing_rate(g, p1, v1), _psi_floor(g, p2)
     # positive seed: k1 = 0 candidates are exactly the lifting candidates of p2
     seed = v_psi(g, p2, budget)
     best = seed.value
@@ -290,26 +317,24 @@ def v_seq(g: Gauge, p1: Vec, p2: Vec, v1, budget: Budget = Budget()) -> SeqLiftC
     while improved:
         improved = False
         k2 = 1
-        while k2 <= math.ceil(1 / best):
+        while k2 <= math.ceil(1 / (best + floor2)):
             k1 = 0
-            while k1 * v1 <= 1 - k2 * best or k1 == 0:
+            # while level reaches psi's floor on the slice, k1*floor(p1) + k2*floor(p2)
+            while k1 * rate1 <= 1 - k2 * (best + floor2):
                 level = 1 - k1 * v1 - k2 * best
-                if level >= 0:
-                    center = vadd(vscale(k1, p1), vscale(k2, p2))
-                    for x in _sublevel_points(g, center, level):
-                        val = (1 - k1 * v1 - psi(g, vsub(x, center))) / k2
-                        if val > best:
-                            best = val
-                            improved = True
-                if k1 * v1 > 1:
-                    break
+                center = vadd(vscale(k1, p1), vscale(k2, p2))
+                for x in _sublevel_points(g, center, level):
+                    val = (1 - k1 * v1 - psi(g, vsub(x, center))) / k2
+                    if val > best:
+                        best = val
+                        improved = True
                 k1 += 1
             k2 += 1
 
     # geometric verification on the twice-lifted cone, one p2-walk per k1
     interior = None
     boundary = []
-    for k1 in range(math.floor(1 / v1) + 1):
+    for k1 in range(math.floor(1 / rate1) + 1):
         for x, k2, slack in _cone_walk(g, p2, best, 1 - k1 * v1, vscale(k1, p1)):
             if slack > 0 and interior is None:
                 interior = (x, k1, k2)
@@ -328,56 +353,42 @@ def v_seq(g: Gauge, p1: Vec, p2: Vec, v1, budget: Budget = Budget()) -> SeqLiftC
 
 
 def phi_eval(cert: LiftCert, g: Gauge, p: Vec, budget: Budget = Budget()) -> Fraction:
-    """Fill-in lifting value: inf of psi(w) + N*value over w + N*pstar in p + Z^2.
+    """Fill-in lifting value: inf of psi(p + z - N*pstar) + N*value.
 
-    N ranges over the nonnegative integers; the N = 0 term caps the value at
-    inf_z psi(p + z), so the lifting never exceeds the gauge itself.  The
-    window at each N is the exact sublevel polygon, so the infimum is
-    attained and returned exactly.
+    The infimum runs over z in Z^n and integers N >= 0, which is exactly the
+    lifted-gauge descent at height 0: phi(p) = psi_star_eval((p, 0)).  The
+    N = 0 term caps it at inf_z psi(p + z), so the lifting never exceeds
+    the gauge itself.
     """
-    V = cert.value
-    pstar = cert.pstar
-    best = psi(g, p)
-    for y in _integer_sublevel(g, p, best):
-        best = min(best, psi(g, y))
-    N = 1
-    while N * V < best:
-        if N > budget.n_max:
-            raise BudgetExceeded(f"fill-in search passed N = {budget.n_max}")
-        offset = vsub(p, vscale(N, pstar))
-        for y in _integer_sublevel(g, offset, best - N * V):
-            best = min(best, psi(g, y) + N * V)
-        N += 1
-    return best
+    return psi_star_eval(cert, g, tuple(p) + (Fraction(0),), budget)
 
 
 def psi_star_eval(cert: LiftCert, g: Gauge, point: Vec, budget: Budget = Budget()) -> Fraction:
-    """Lifted-gauge descent: inf of psi_hat(point + (w, z)) over Z^2 x Z_+.
+    """Lifted-gauge descent: inf of psi_hat(point + (z, k)) over Z^n x Z_+.
 
     psi_hat is the gauge of the certifying cone; by its translation identity
-    psi_hat((y, h)) = psi(y - h*pstar) + h*value, so each height slice of
-    the sublevel set is an explicit polygon and the scan is finite.
+    psi_hat((y, h)) = psi(y - h*pstar) + h*value, so the height-(h + k)
+    candidates are the points y of the coset (p - (h + k)*pstar) + Z^n (not
+    S, and maybe Z^n itself) with psi(y) <= best - (h + k)*value.  Heights
+    stop once (h + k)*value reaches the running best.  The descent is
+    Z^n-periodic: a truncation or a tail raises PreconditionViolated.
     """
-    V = cert.value
-    pstar = cert.pstar
+    if not g.lattice.periodic:
+        raise PreconditionViolated("the descent needs S = b + Z^n, with no truncation or tail")
     if len(point) != g.body.dim + 1:
         raise DimensionMismatch("expected a point one dimension above the body")
     h = rat(point[-1])
     if h < 0:
         raise DimensionMismatch("point height must be nonnegative")
-    p2 = tuple(point[:-1])
-    c0 = psi(g, vsub(p2, vscale(h, pstar))) + h * V
-    best = c0
-    z = 0
-    while True:
-        hz = h + z
-        cz = c0 - hz * V
-        if cz < 0:
-            break
-        if z > budget.n_max:
+    V = cert.value
+    p = tuple(point[:-1])
+    best = psi(g, vsub(p, vscale(h, cert.pstar))) + h * V
+    k, hk = 0, h
+    while hk * V < best:
+        if k > budget.n_max:
             raise BudgetExceeded(f"descent search passed {budget.n_max} height steps")
-        offset = vsub(p2, vscale(hz, pstar))
-        for y in _integer_sublevel(g, offset, cz):
-            best = min(best, psi(g, y) + hz * V)
-        z += 1
+        level = best - hk * V
+        for y in _scan(vsub(p, vscale(hk, cert.pstar)), [(a, level) for a in g.body.rows]):
+            best = min(best, psi(g, y) + hk * V)
+        k, hk = k + 1, hk + 1
     return best

@@ -1,9 +1,10 @@
 """Shifted lattices S = b + Z^n with optional nonnegative-integer tails.
 
 A tail of k appended coordinates models product sets S x Z_+^k, which is
-where lifted cones live.  Truncation by a rational polyhedron is carried as
-data but automatic translation-group computation for truncated lattices is
-deliberately not attempted; the caller must declare the group.
+where lifted cones live.  A truncation by a rational polyhedron cuts S
+down; the translation group of a truncated lattice is not computed, so
+the caller must declare it.  This module alone decides membership in S:
+every scan of S elsewhere goes through `points_in` or its core `_points`.
 
 Lattice points inside a polyhedral region are enumerated by one exact
 integer scanline in any dimension: every row is scaled once to integer
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
@@ -48,16 +50,36 @@ class Lattice:
     declared_group: TranslationGroup | None = None
 
     def __post_init__(self):
+        if not self.truncation:  # no rows cut nothing
+            object.__setattr__(self, "truncation", None)
         if len(self.shift) != self.dim:
             raise DimensionMismatch("lattice shift has wrong length")
         if self.tail not in (0, 1, 2):
             raise DimensionMismatch("tail must be 0, 1 or 2")
         if all(is_integral(c) for c in self.shift):
             raise DimensionMismatch("shift must have a non-integer coordinate")
+        if any(len(a) != self.dim for a, _ in self.truncation or ()):
+            raise DimensionMismatch(f"truncation rows must have length {self.dim}")
 
     @property
     def full_dim(self) -> int:
         return self.dim + self.tail
+
+    @property
+    def periodic(self) -> bool:
+        """True when S is all of b + Z^dim: no truncation and no tail."""
+        return self.truncation is None and not self.tail
+
+    @cached_property
+    def scan_frame(self) -> tuple:
+        """(shift, rows) of S for `_scan`: truncation rows, then -t <= 0 per tail."""
+        zero = (Fraction(0),) * self.tail
+        rows = [(tuple(a) + zero, rat(c)) for a, c in self.truncation or ()]
+        rows += [
+            (tuple(-1 if j == t else 0 for j in range(self.full_dim)), 0)
+            for t in range(self.dim, self.full_dim)
+        ]
+        return tuple(self.shift) + zero, tuple(rows)
 
     def with_tail(self, tail: int) -> "Lattice":
         return Lattice(self.dim, self.shift, tail, self.truncation, self.declared_group)
@@ -76,11 +98,8 @@ def contains(lat: Lattice, x: Vec) -> bool:
         xi = rat(xi)
         if not is_integral(xi) or xi < 0:
             return False
-    if lat.truncation is not None:
-        base = tuple(x[: lat.dim])
-        if not all(dot(a, base) <= c for a, c in lat.truncation):
-            return False
-    return True
+    base = tuple(x[: lat.dim])
+    return all(dot(a, base) <= c for a, c in lat.truncation or ())
 
 
 def translation_group(lat: Lattice) -> TranslationGroup:
@@ -190,16 +209,14 @@ def points_in(lat: Lattice, region: HPoly, extra_rows=(), strict: bool = False):
     """
     if region.dim != lat.full_dim:
         raise DimensionMismatch("region/lattice dimension mismatch")
-    body = list(region.as_pairs()) + [(tuple(a), rat(c)) for a, c in extra_rows]
-    zero = (Fraction(0),) * lat.tail
-    closed = [(tuple(a) + zero, rat(c)) for a, c in lat.truncation or ()]
-    closed += [
-        (tuple(-1 if j == t else 0 for j in range(lat.full_dim)), 0)
-        for t in range(lat.dim, lat.full_dim)
-    ]
-    if not strict:
-        closed, body = closed + body, []
-    return tuple(_scan(tuple(lat.shift) + zero, closed, body))
+    body = region.as_pairs() + tuple([(tuple(a), rat(c)) for a, c in extra_rows])
+    return _points(lat, (), body) if strict else _points(lat, body)
+
+
+def _points(lat: Lattice, rows, strict_rows=()):
+    """Points of S with a.x <= c over `rows` and a.x < c over `strict_rows`."""
+    shift, closed = lat.scan_frame
+    return tuple(_scan(shift, closed + tuple(rows), strict_rows))
 
 
 def naive_box_points(lat: Lattice, bbox, pred) -> tuple:

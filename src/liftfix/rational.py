@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch
 
-Rat = Fraction
 Vec = tuple  # tuple[Fraction, ...]
 
 
@@ -38,10 +37,6 @@ def rat_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def vec(*coords) -> Vec:
-    return tuple(rat(c) for c in coords)
 
 
 def parse_vec(items) -> Vec:

@@ -18,13 +18,26 @@ from liftfix.serialize import (
     polygon_to_json,
 )
 from liftfix.exactgeo import Polygon2
-from liftfix.lattice import Lattice
+from liftfix.lattice import Lattice, contains
+from liftfix.rational import parse_vec
 from liftfix.type3 import triangle_from_mixing
 
 MIXING = {
     "body": {"type": "type3-mixing", "b": ["-1/4", "-3/4"]},
     "pstar": ["1/2", "7/8"],
     "budgets": {"n_max": 16, "window_radius": 12},
+}
+
+# x, y >= -1/2, x + y <= 1 over (-1/2, -1/2) + Z^2, truncated to x <= 1/2
+TRIANGLE = {
+    "body": {"type": "rows", "rows": [["-2", "0"], ["0", "-2"], ["1", "1"]]},
+    "lattice": {"dim": 2, "shift": ["-1/2", "-1/2"], "truncation": [[["1", "0"], "1/2"]]},
+}
+# the mixing pyramid for b = (-1/4, -3/4) over ((-1/4, -3/4) + Z^2) x Z_+
+PYRAMID = {
+    "body": {"type": "rows", "rows": [["4/5", "8/5", "-8/5"], ["-12/5", "8/5", "0"],
+                                      ["4/5", "-8/5", "6/5"]]},
+    "lattice": {"dim": 2, "shift": ["-1/4", "-3/4"], "tail": 1},
 }
 
 
@@ -85,6 +98,13 @@ class TestCommands:
         )
         assert code == 0
         assert json.loads(data)["certificate"]["psistar"] == "1/5"
+        # within the default budget, where the descent once ran out of heights
+        code, data = run_cli(
+            ["lift", "psistar", "--instance", instance_path, "--point=-9/8,13/8,0"],
+            tmp_path, "s.json",
+        )
+        assert code == 0
+        assert json.loads(data)["certificate"]["psistar"] == "1/2"
 
     def test_tilt_command(self, instance_path, tmp_path):
         code, data = run_cli(
@@ -150,23 +170,81 @@ class TestExitCodes:
         assert err["error"]["type"] == "DomainViolation"
 
     @pytest.mark.parametrize(
-        "text",
+        "text, kind",
         [
-            "{not json",
-            json.dumps({"body": {"type": "rows", "rows": [["1", "0"], ["-1", "1"]]}}),
-            json.dumps({"body": {"type": "type3-mixing", "b": ["-1/4", "three"]}}),
-            json.dumps({"body": {"type": "rows", "rows": [["2"], ["-2"]]},
-                        "lattice": {"dim": 1, "shift": ["1/2"]}}),
+            ("{not json", "DomainViolation"),
+            (json.dumps({"body": {"type": "rows", "rows": [["1", "0"], ["-1", "1"]]}}),
+             "DomainViolation"),
+            (json.dumps({"body": {"type": "type3-mixing", "b": ["-1/4", "three"]}}),
+             "DomainViolation"),
+            (json.dumps({"body": {"type": "rows", "rows": [["2"], ["-2"]]},
+                         "lattice": {"dim": 1, "shift": ["1/2"]}}), "DomainViolation"),
+        ] + [
+            (json.dumps({**TRIANGLE, "lattice": {**TRIANGLE["lattice"], "truncation": trunc}}),
+             "DimensionMismatch")
+            for trunc in ([[["1"], "0"]], [["1", "0"]], [[["1", "0", "0"], "0"]])
         ],
-        ids=["not-json", "rows-without-lattice", "bad-rational", "rows-1d-lattice"],
+        ids=["not-json", "rows-without-lattice", "bad-rational", "rows-1d-lattice",
+             "truncation-short-row", "truncation-bare-row", "truncation-long-row"],
     )
-    def test_malformed_instance_exits_two(self, text, tmp_path, capsys):
+    def test_malformed_instance_exits_two(self, text, kind, tmp_path, capsys):
         path = tmp_path / "malformed.json"
         path.write_text(text, encoding="utf-8")
         code = main(["lift", "value", "--instance", str(path)])
         assert code == 2
         err = json.loads(capsys.readouterr().out)
-        assert err["error"]["type"] == "DomainViolation"
+        assert err["error"]["type"] == kind
+
+
+class TestTruncationAndTails:
+    """`lift value` and `lift blocking` honour S; the descent commands refuse it."""
+
+    @pytest.fixture(params=["triangle", "pyramid"])
+    def case(self, request, tmp_path):
+        inst, pstar, value = {
+            "triangle": (TRIANGLE, "7/8,-1/2", "1/4"),
+            "pyramid": (PYRAMID, "1/8,1/8,1/8", "1/10"),
+        }[request.param]
+        path = tmp_path / f"{request.param}.json"
+        path.write_text(json.dumps(inst), encoding="utf-8")
+        return str(path), pstar, value, lattice_from_json(inst["lattice"])
+
+    def test_lift_value_and_blocking(self, case, tmp_path):
+        path, pstar, value, lat = case
+        code, data = run_cli(["lift", "value", "--instance", path, "--pstar", pstar],
+                             tmp_path, "v.json")
+        assert code == 0
+        cert = json.loads(data)["certificate"]
+        assert cert["value"] == value
+        assert cert["blocking"]
+        assert all(contains(lat, parse_vec(x)) for x, _ in cert["blocking"])
+        code, data = run_cli(["lift", "blocking", "--instance", path, "--pstar", pstar],
+                             tmp_path, "b.json")
+        assert code == 0
+        assert json.loads(data)["certificate"]["value"] == value
+
+    def test_empty_truncation_cuts_nothing(self, tmp_path):
+        untruncated = {**TRIANGLE, "lattice": {"dim": 2, "shift": ["-1/2", "-1/2"]}}
+        empty = {**TRIANGLE, "lattice": {**untruncated["lattice"], "truncation": []}}
+        for args in (["lift", "phi", "--p", "0,0"], ["lift", "psistar", "--point", "0,0,0"],
+                     ["fix", "cover"], ["fix", "translate", "--m", "1/8,0"]):
+            certs = []
+            for name, inst in (("untruncated", untruncated), ("empty", empty)):
+                path = tmp_path / f"{name}.json"
+                path.write_text(json.dumps(inst), encoding="utf-8")
+                code, data = run_cli(args + ["--instance", str(path), "--pstar", "7/8,-1/2"],
+                                     tmp_path, f"{name}-out.json")
+                assert code == 0
+                certs.append(json.loads(data)["certificate"])
+            assert certs[0] == certs[1]
+
+    def test_descent_exits_two(self, case, capsys):
+        path, pstar, _, lat = case
+        origin = ",".join(["0"] * lat.full_dim)
+        for args in (["lift", "phi", "--p", origin], ["lift", "psistar", "--point", origin + ",0"]):
+            code = main(args + ["--instance", path, "--pstar", pstar])
+            assert code == 2
+            assert json.loads(capsys.readouterr().out)["error"]["type"] == "PreconditionViolated"
 
 
 CROSS3 = {

@@ -151,6 +151,22 @@ class TestAreaAndClip:
             hi = clip(poly, ((-a[0], -a[1]), -c))
             assert area(lo) + area(hi) == area(poly)
 
+    def test_clip_point_and_segment(self):
+        p, q = (F(0), F(0)), (F(2), F(1))
+        point, seg = Polygon2((p,)), Polygon2((p, q))
+        x_le = lambda c: ((F(1), F(0)), F(c))  # noqa: E731
+        assert clip(point, x_le(0)).vertices == (p,)  # touching
+        assert clip(point, x_le(-1)).is_empty
+        assert clip(seg, x_le(3)).vertices == (p, q)  # inside
+        assert clip(seg, x_le(-1)).is_empty  # outside
+        assert clip(seg, x_le(1)).vertices == (p, (F(1), F(1, 2)))  # crossing
+        assert clip(seg, x_le(0)).vertices == (p,)  # touching at an endpoint
+        assert clip(seg, ((F(-1), F(0)), F(-2))).vertices == (q,)
+        zero = (F(0), F(0))
+        assert clip(seg, (zero, F(0))).vertices == (p, q)
+        assert clip(seg, (zero, F(-1))).is_empty
+        assert clip(point, (zero, F(-1))).is_empty
+
 
 class TestConeSlice:
     def _mixing_cone(self):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from liftfix.errors import NotArgmax, OriginNotInterior, PreconditionViolated
-from liftfix.exactgeo import Polygon2, convex_intersection
+from liftfix.exactgeo import HPoly, Polygon2, convex_intersection
 from liftfix.fixing import (
     FixApprox,
     Piece,
@@ -20,8 +20,8 @@ from liftfix.fixing import (
     tki_map,
     translate_instance,
 )
-from liftfix.gauge import psi, psi_eval, v_psi
-from liftfix.lattice import naive_box_points
+from liftfix.gauge import Gauge, psi, psi_eval, v_psi
+from liftfix.lattice import Lattice, TranslationGroup, naive_box_points
 from liftfix.rational import dot, vadd, vscale, vsub
 from liftfix.type3 import pyramid, triangle_from_mixing
 
@@ -239,6 +239,22 @@ class TestTranslate:
     def test_tki_zero_translation_identity(self, g, cert):
         x = (F(5, 8), F(-3, 4))
         assert tki_map(g.body.rows, PSTAR, cert.value, (F(0), F(0)), 1, 2, x) == x
+
+    @pytest.mark.parametrize("m", [(F(1, 8), F(0)), (F(1, 16), F(1, 16)), (F(-1, 8), F(1, 16))])
+    def test_truncation_moves_with_s(self, m):
+        # x, y >= -1/2, x + y <= 1 over (-1/2, -1/2) + Z^2, truncated to x <= 1/2
+        group = TranslationGroup(((F(0), F(1)),))
+        lat = Lattice(2, (F(-1, 2), F(-1, 2)), truncation=(((F(1), F(0)), F(1, 2)),),
+                      declared_group=group)
+        g = Gauge(HPoly(2, ((F(-2), F(0)), (F(0), F(-2)), (F(1), F(1)))), lat)
+        cert = v_psi(g, (F(7, 8), F(-1, 2)))
+        assert cert.value == F(1, 4)
+        g2, phat = translate_instance(g, cert, m)
+        assert g2.lattice.truncation == (((F(1), F(0)), F(1, 2) + m[0]),)
+        assert g2.lattice.declared_group == group
+        cert2 = v_psi(g2, phat)
+        assert cert2.value == cert.value
+        assert [x for x, _ in cert2.blocking] == [vadd(x, m) for x, _ in cert.blocking]
 
 
 def _sample_collisions(g, cert, needed):

@@ -12,9 +12,11 @@ from fractions import Fraction as F
 import pytest
 
 from liftfix.errors import (
+    BudgetExceeded,
     CertificateMismatch,
     NonpositiveLambda,
     NoPositiveValueWithinBudget,
+    UnboundedRegion,
 )
 from liftfix.exactgeo import HPoly
 from liftfix.gauge import (
@@ -30,7 +32,7 @@ from liftfix.gauge import (
     v_psi_geometric,
     v_seq,
 )
-from liftfix.lattice import Lattice
+from liftfix.lattice import Lattice, contains
 from liftfix.rational import dot, vadd, vscale, vsub
 from liftfix.type3 import pyramid, triangle_from_mixing
 
@@ -63,14 +65,42 @@ def brute_lift_value(g, pstar, nmax=8, rad=8):
     return best, wit
 
 
-def brute_phi(g, value, pstar, p, nmax=8, rad=8):
+def brute_psi_star(g, value, pstar, point, nmax=8, rad=8):
+    """min of psi(p + z - (h + N)*pstar) + (h + N)*value, point = (p, h), N <= nmax."""
+    *p, h = point
     best = None
     for N in range(0, nmax + 1):
-        for i in range(-rad, rad + 1):
-            for j in range(-rad, rad + 1):
-                w = (p[0] + i - N * pstar[0], p[1] + j - N * pstar[1])
-                val = psi(g, w) + N * value
+        w0 = [c - (h + N) * s for c, s in zip(p, pstar)]
+        for i in range(-rad - round(w0[0]), rad + 1 - round(w0[0])):
+            for j in range(-rad - round(w0[1]), rad + 1 - round(w0[1])):
+                val = psi(g, (w0[0] + i, w0[1] + j)) + (h + N) * value
                 if best is None or val < best:
+                    best = val
+    return best
+
+
+def box_lift_value(g, pstar, nmax, rad, slack=0):
+    """Test-only oracle: max of (1 - psi(x - N*pstar)) / N over a box of S.
+
+    For N = 1..nmax, x runs over the points within rad of N*pstar in every
+    coordinate (a tail height from 0 up), S-membership decided by
+    lattice.contains.  Heights stop once 1/N + slack, an upper bound on
+    every height-N candidate, falls below the best found.
+    """
+    lat = g.lattice
+    best = None
+    for N in range(1, nmax + 1):
+        if best is not None and F(1, N) + slack < best:
+            break
+        c = vscale(N, pstar)
+        ranges = [[b + k for k in range(round(ci - b) - rad, round(ci - b) + rad + 1)]
+                  for b, ci in zip(lat.shift, c)]
+        ranges += [range(max(0, round(ci) - rad), round(ci) + rad + 1) for ci in c[lat.dim:]]
+        for x in itertools.product(*ranges):
+            x = tuple(F(v) for v in x)
+            if contains(lat, x):
+                val = (1 - psi(g, vsub(x, c))) / N
+                if best is None or val > best:
                     best = val
     return best
 
@@ -307,7 +337,7 @@ class TestLiftings:
     def test_phi_matches_brute_force(self, g):
         cert = v_psi(g, PSTAR)
         for p in ((F(0), F(0)), (F(1, 4), F(-1, 2)), (F(-3, 4), F(1, 2))):
-            assert phi_eval(cert, g, p) == brute_phi(g, cert.value, PSTAR, p)
+            assert phi_eval(cert, g, p) == brute_psi_star(g, cert.value, PSTAR, p + (F(0),))
 
     def test_psi_star_bounds(self, g):
         budget = Budget(n_max=40)
@@ -350,3 +380,89 @@ class TestLiftings:
             for w in ((F(1), F(0), F(0)), (F(0), F(-1), F(0)), (F(0), F(0), F(1))):
                 moved = vadd(p, w)
                 assert star <= max(dot(row, moved) for row in cone.rows)
+
+
+class TestTruncationAndTails:
+    """The gauge scans enumerate S itself: truncation rows and tail heights count."""
+
+    def test_truncated_value_and_blocking(self):
+        # x, y >= -1/2, x + y <= 1 over (-1/2, -1/2) + Z^2, truncated to x <= 1/2
+        lat = Lattice(2, (F(-1, 2), F(-1, 2)), truncation=(((F(1), F(0)), F(1, 2)),))
+        g = Gauge(HPoly(2, ((F(-2), F(0)), (F(0), F(-2)), (F(1), F(1)))), lat)
+        pstar = (F(7, 8), F(-1, 2))
+        cert = v_psi(g, pstar)
+        # (3/2, -1/2) would block at 3/8, but the truncation x <= 1/2 excludes it
+        assert cert.value == F(1, 4) == box_lift_value(g, pstar, nmax=8, rad=3)
+        assert cert.blocking
+        assert all(contains(g.lattice, x) for x, _ in cert.blocking)
+        geom = v_psi_geometric(g, pstar, cert.value)
+        assert geom.free and geom.tight
+
+    @pytest.mark.parametrize(
+        "pstar, value",
+        [
+            ((F(1, 8), F(1, 8), F(1, 8)), F(1, 10)),
+            ((F(1, 2), F(7, 8), F(1, 4)), F(1, 2)),
+            ((F(0), F(1, 3), F(1, 2)), F(8, 15)),
+            # psi < 0 on S - N*pstar here, and the best candidates sit at
+            # heights past 1/value
+            ((F(7, 8), F(-3, 4), F(5, 2)), F(11, 10)),
+            ((F(-1, 8), F(-1, 4), F(23, 8)), F(13, 10)),
+        ],
+    )
+    def test_pyramid_over_a_tail(self, tri, pstar, value):
+        # the rows average to (0, 0, 1/5), so psi(r) >= r3/5 >= -N*pstar3/5 on
+        # S - N*pstar, and a height-N candidate is worth at most 1/N + pstar3/5
+        g = Gauge(pyramid(tri).body, tri.lattice.with_tail(1))
+        assert g.psi_floor_rate == F(-1, 5)
+        cert = v_psi(g, pstar)
+        assert cert.value == value
+        assert box_lift_value(g, pstar, nmax=40, rad=5, slack=pstar[2] / 5) == value
+        assert all(contains(g.lattice, x) for x, _ in cert.blocking)
+
+    def test_pyramid_heights_that_never_close(self, tri):
+        # the box oracle finds 1/5, exactly psi's floor rate times -pstar3, so
+        # no height cap 1/N + 1/5 < best ever holds: exit 3, not a guess
+        g = Gauge(pyramid(tri).body, tri.lattice.with_tail(1))
+        pstar = (F(1, 2), F(7, 8), F(1))
+        assert box_lift_value(g, pstar, nmax=8, rad=4) == F(1, 5)
+        with pytest.raises(BudgetExceeded):
+            v_psi(g, pstar)
+
+    def test_truncation_that_bounds_a_receding_body(self):
+        # x, y >= -1/2 over (-1/2, -1/2) + Z^2 cut to x <= -1/2, y <= 1/2: S is
+        # two points, but psi falls without bound along (1, 1), so no height
+        # cap is sound and v_psi refuses instead of answering 5/4
+        trunc = (((F(1), F(0)), F(-1, 2)), ((F(0), F(1)), F(1, 2)))
+        g = Gauge(HPoly(2, ((F(-2), F(0)), (F(0), F(-2)))),
+                  Lattice(2, (F(-1, 2), F(-1, 2)), truncation=trunc))
+        assert check_sfree(g.body, g.lattice).free
+        pstar = (F(-5, 8), F(1, 4))
+        assert box_lift_value(g, pstar, nmax=40, rad=3) == F(5, 4)
+        with pytest.raises(UnboundedRegion):
+            v_psi(g, pstar)
+
+    def test_body_receding_along_the_tail(self):
+        # |x|, |y| <= 1 with the height free: even t >= 0 leaves it unbounded
+        rows = ((F(1), F(0), F(0)), (F(-1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(-1), F(0)))
+        g = Gauge(HPoly(3, rows), Lattice(2, (F(1, 2), F(1, 2)), tail=1))
+        with pytest.raises(UnboundedRegion):
+            v_psi(g, (F(0), F(0), F(1, 2)))
+
+
+class TestDescent:
+    """phi is the descent at height 0; every height matches a brute-force infimum."""
+
+    @pytest.mark.parametrize("h", [F(1, 2), F(1), F(3, 2)])
+    def test_heights_match_brute_force(self, g, h):
+        cert = v_psi(g, PSTAR)
+        for p in ((F(0), F(0)), (F(1, 4), F(-1, 2)), (F(-9, 8), F(13, 8))):
+            point = p + (h,)
+            want = brute_psi_star(g, cert.value, PSTAR, point, nmax=16, rad=5)
+            assert psi_star_eval(cert, g, point) == want
+
+    def test_phi_is_the_descent_at_height_zero(self, g):
+        cert = v_psi(g, PSTAR)
+        p = (F(-9, 8), F(13, 8))
+        assert phi_eval(cert, g, p) == psi_star_eval(cert, g, p + (F(0),)) == F(1, 2)
+        assert brute_psi_star(g, cert.value, PSTAR, p + (F(0),), nmax=16, rad=5) == F(1, 2)
