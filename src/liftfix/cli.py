@@ -17,7 +17,7 @@ from . import __version__
 from .errors import DomainViolation, LiftfixError
 from .exactgeo import Polygon2, convex_hull
 from .fixing import cover_certify, fix_approx, translate_instance
-from .gauge import Budget, check_sfree, psi_eval, v_psi, v_seq, phi_eval, psi_star_eval
+from .gauge import check_sfree, psi_eval, v_psi, v_seq, phi_eval, psi_star_eval
 from .rational import rat, rat_str, vec_str
 from .serialize import (
     Instance,
@@ -59,9 +59,7 @@ def _read_json(path):
 def _load_instance(args) -> Instance:
     if not args.instance:
         raise DomainViolation("--instance PATH is required for this command")
-    obj = _read_json(args.instance)
-    budget = Budget(n_max=args.budget_n, window=args.budget_window)
-    return instance_from_json(obj, budget_override=budget)
+    return instance_from_json(_read_json(args.instance))
 
 
 def _need_pstar(inst: Instance, args):
@@ -85,8 +83,9 @@ def _cert_for(inst: Instance, args):
 
 
 def _cmd_gauge_eval(inst, args):
-    r = _parse_point(args.r) if isinstance(args.r, str) else tuple(_parse_rat(v) for v in args.r)
-    gv = psi_eval(inst.gauge, r)
+    if not args.r:
+        raise DomainViolation("--r is required for gauge eval, as \"x,y\" or x y")
+    gv = psi_eval(inst.gauge, _parse_point(",".join(args.r)))
     return {"psi": rat_str(gv.value), "argmax": list(gv.argmax)}, None
 
 
@@ -193,7 +192,7 @@ def _cmd_type3_mixing_verify(inst, args):
     if inst.triangle is None or inst.triangle.mixing_delta is None:
         raise DomainViolation("type3 mixing-verify needs a type3-mixing instance")
     tri = inst.triangle
-    split = split_cover_certify(tri.b, inst.budget)
+    split = split_cover_certify(tri.b)
     oracle = check_sfree(pyramid(tri).body, tri.lattice.with_tail(1))
     return {
         "b": vec_str(tri.b),
@@ -262,9 +261,12 @@ def _cmd_plot_svg(args):
     if not args.instance:
         raise DomainViolation("plot svg needs --instance pointing at a payload JSON")
     payload = _read_json(args.instance)
-    if "certificate" in payload:
+    if isinstance(payload, dict) and "certificate" in payload:
         payload = payload["certificate"]
-    svg = render_svg(payload if "kind" in payload else {"kind": "region", **payload})
+    try:
+        svg = render_svg(payload if "kind" in payload else {"kind": "region", **payload})
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DomainViolation(f"{args.instance} is not a plot payload: {exc}") from exc
     _write_out(args.out, svg)
     return 0
 
@@ -295,15 +297,20 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors raised as DomainViolation, not exit(2)."""
+
+    def error(self, message):
+        raise DomainViolation(f"{message} (see liftfix --help)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="liftfix", description=__doc__)
+    ap = _Parser(prog="liftfix", description=__doc__)
     ap.add_argument("group", help="command group (gauge, lift, fix, type3, plot)")
     ap.add_argument("command", help="subcommand within the group")
     ap.add_argument("--instance", help="path to an instance or payload JSON")
     ap.add_argument("--out", help="output path (default: stdout)")
     ap.add_argument("--format", choices=("json", "svg"), default="json")
-    ap.add_argument("--budget-n", type=int, default=16)
-    ap.add_argument("--budget-window", type=int, default=12)
     ap.add_argument("--pstar", help='lifted point as "x,y"')
     ap.add_argument("--p2", help='second lifted point as "x,y"')
     ap.add_argument("--p", help='evaluation point as "x,y"')
@@ -321,8 +328,6 @@ def run(argv) -> int:
     handler = _HANDLERS.get((args.group, args.command))
     if handler is None:
         raise DomainViolation(f"unknown command: {args.group} {args.command}")
-    if args.r is not None and len(args.r) == 1:
-        args.r = args.r[0]
 
     start = time.monotonic()
     inst = _load_instance(args)

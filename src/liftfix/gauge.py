@@ -7,9 +7,13 @@ two independent ways and cross-certified:
 * candidate search over lattice points (the algebraic route), and
 * freeness of the lifted cone with apex (p, 1)/lambda (the geometric route).
 
-Both scan S, truncation and tails included, through `lattice`,
-and stop at the height where psi's lower bound on S (`_psi_floor`, 0 on a
-bounded body) passes the cone.
+Both scan S, truncation and tails included, through `lattice`.  The
+candidate searches (`v_psi`, `v_seq`) walk heights 1, 2, ... and stop where
+psi's lower bound on S (`_psi_floor`, 0 on a bounded body) passes the
+shrinking window.  The geometric route walks no heights: a lifted cone is
+one more polyhedron and S x Z_+ is S with one more tail coordinate, so one
+`check_sfree` scans all of it, with the heights bounded by the cone's own
+rows; a cone that never closes raises UnboundedRegion.
 A LiftCert carries the value together with every boundary witness of the
 certifying cone, so third parties can re-verify with nothing but rational
 arithmetic.  The two liftings phi and psi* share one descent over
@@ -151,16 +155,6 @@ def _psi_floor(g: Gauge, c: Vec):
     return g.psi_floor_rate * max((0, *c[g.lattice.dim :]))
 
 
-def _closing_rate(g: Gauge, p: Vec, lam) -> Fraction:
-    """lam + _psi_floor(g, p); psi(x - k*p) <= top - k*lam is empty once k*rate > top."""
-    if lam <= 0:
-        raise NonpositiveLambda(f"lambda must be positive, got {lam}")
-    rate = lam + _psi_floor(g, p)
-    if rate <= 0:
-        raise UnboundedRegion(f"lifted cone along {p} never closes at lambda {lam}")
-    return rate
-
-
 def _sublevel_points(g: Gauge, center: Vec, level):
     """Points x of S with psi(x - center) <= level, in lexicographic order.
 
@@ -193,44 +187,21 @@ class LiftCert:
 class ConeCheck:
     free: bool
     tight: bool
-    interior_witness: tuple | None  # (x, height)
     boundary: tuple  # ((x, height), ...) all heights >= 0
 
 
-def _cone_walk(g: Gauge, pstar: Vec, lam, top=1, base=None):
-    """Yield (x, k, slack) over the integer height slices of a lifted cone.
-
-    The height-k slice is the points x with psi(x - base - k*pstar) <= c,
-    c = top - k*lam, for k = 0, 1, ... while c reaches psi's floor on S
-    (c >= 0 on a bounded body); no base means the origin.  Its points x of
-    S come in (k, x) order with slack c - psi(x - base - k*pstar): zero on
-    the cone's boundary and positive inside it.
-    """
-    reach = top - (0 if base is None else _psi_floor(g, base))
-    for k in range(math.floor(reach / _closing_rate(g, pstar, lam)) + 1):
-        c = top - k * lam
-        center = vscale(k, pstar) if base is None else vadd(base, vscale(k, pstar))
-        for x in _sublevel_points(g, center, c):
-            yield x, k, c - psi(g, vsub(x, center))
-
-
 def v_psi_geometric(g: Gauge, pstar: Vec, lam) -> ConeCheck:
-    """Freeness of the lifted cone against S x Z_+, by integer-height slices.
+    """Freeness of the lifted cone against S x Z_+, by one `check_sfree`.
 
-    The height-k slice of the cone is psi(x - k*pstar) <= 1 - k*lam, so the
-    scan is bounded: heights stop once 1 - k*lam falls below psi's floor
-    on S - k*pstar.  The boundary comes in (height, x) order.
+    The cone is one more polyhedron and S x Z_+ is S with one more tail
+    coordinate, so one scan certifies every height at once.  The boundary
+    is the union of the facet hits, in (height, x) order.
     """
-    lam = rat(lam)
-    interior = None
-    boundary = []
-    for x, k, slack in _cone_walk(g, pstar, lam):
-        if slack > 0 and interior is None:
-            interior = (x, k)
-        elif slack == 0:
-            boundary.append((x, k))
-    tight = any(h >= 1 for _, h in boundary)
-    return ConeCheck(interior is None, interior is None and tight, interior, tuple(boundary))
+    cert = check_sfree(lifting_cone(g, pstar, lam), g.lattice.with_tail(g.lattice.tail + 1))
+    boundary = sorted({(y[:-1], int(y[-1])) for hits in cert.facet_hits for y in hits},
+                      key=lambda pair: (pair[1], pair[0]))
+    tight = any(k >= 1 for _, k in boundary)
+    return ConeCheck(cert.free, cert.free and tight, tuple(boundary))
 
 
 def v_psi(g: Gauge, pstar: Vec, budget: Budget = Budget()) -> LiftCert:
@@ -306,10 +277,15 @@ def v_seq(g: Gauge, p1: Vec, p2: Vec, v1, budget: Budget = Budget()) -> SeqLiftC
     of the twice-lifted cone gives (1 - k1*v1 - psi(x - k1 p1 - k2 p2)) / k2.
     The k2 = 1..cap, k1 = 0..cap windows close exactly once the running best
     is positive, with psi's floors along p1 and p2 as in v_psi.  The value
-    is verified free-and-tight on the 4-D cone.
+    is verified free-and-tight on the twice-lifted cone.
     """
     v1 = rat(v1)
-    rate1, floor2 = _closing_rate(g, p1, v1), _psi_floor(g, p2)
+    if v1 <= 0:
+        raise NonpositiveLambda(f"lambda must be positive, got {v1}")
+    # psi(x - k1*p1) >= k1*floor on S, so the k1 slices close once k1*rate1 > 1
+    rate1, floor2 = v1 + _psi_floor(g, p1), _psi_floor(g, p2)
+    if rate1 <= 0:
+        raise UnboundedRegion(f"lifted cone along {p1} never closes at lambda {v1}")
     # positive seed: k1 = 0 candidates are exactly the lifting candidates of p2
     seed = v_psi(g, p2, budget)
     best = seed.value
@@ -331,16 +307,12 @@ def v_seq(g: Gauge, p1: Vec, p2: Vec, v1, budget: Budget = Budget()) -> SeqLiftC
                 k1 += 1
             k2 += 1
 
-    # geometric verification on the twice-lifted cone, one p2-walk per k1
-    interior = None
-    boundary = []
-    for k1 in range(math.floor(1 / rate1) + 1):
-        for x, k2, slack in _cone_walk(g, p2, best, 1 - k1 * v1, vscale(k1, p1)):
-            if slack > 0 and interior is None:
-                interior = (x, k1, k2)
-            elif slack == 0 and k2 >= 1:
-                boundary.append((x, k1, k2))
-    if interior is not None or not boundary:
+    # the twice-lifted cone is one more polyhedron, free of S x Z_+^2
+    rows = tuple(a + (v1 - dot(a, p1), best - dot(a, p2)) for a in g.body.rows)
+    cert = check_sfree(HPoly(g.body.dim + 2, rows), g.lattice.with_tail(g.lattice.tail + 2))
+    boundary = {(y[:-2], int(y[-2]), int(y[-1]))
+                for hits in cert.facet_hits for y in hits if y[-1] >= 1}
+    if not (cert.free and boundary):
         raise CertificateMismatch(
             f"sequential value {best} failed geometric verification"
         )

@@ -54,8 +54,8 @@ class Lattice:
             object.__setattr__(self, "truncation", None)
         if len(self.shift) != self.dim:
             raise DimensionMismatch("lattice shift has wrong length")
-        if self.tail not in (0, 1, 2):
-            raise DimensionMismatch("tail must be 0, 1 or 2")
+        if self.tail < 0:
+            raise DimensionMismatch("tail must be nonnegative")
         if all(is_integral(c) for c in self.shift):
             raise DimensionMismatch("shift must have a non-integer coordinate")
         if any(len(a) != self.dim for a, _ in self.truncation or ()):

@@ -135,17 +135,17 @@ class Instance:
         self.triangle = triangle
 
 
-def instance_from_json(obj: dict, budget_override: Budget | None = None) -> Instance:
+def instance_from_json(obj: dict) -> Instance:
     """Parse and validate an instance; every malformed input is a DomainViolation."""
     try:
-        return _parse_instance(obj, budget_override)
+        return _parse_instance(obj)
     except KeyError as exc:
         raise DomainViolation(f"instance is missing field {exc}") from exc
     except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainViolation(f"malformed instance: {exc}") from exc
 
 
-def _parse_instance(obj: dict, budget_override: Budget | None) -> Instance:
+def _parse_instance(obj: dict) -> Instance:
     body = obj.get("body")
     if body is None:
         raise DomainViolation("instance is missing a body descriptor")
@@ -172,10 +172,11 @@ def _parse_instance(obj: dict, budget_override: Budget | None) -> Instance:
     if obj.get("pstar") is not None:
         pstar = parse_vec(obj["pstar"])
     budgets = obj.get("budgets", {})
-    budget = budget_override or Budget(
-        n_max=int(budgets.get("n_max", 16)),
-        window=int(budgets.get("window_radius", 12)),
-    )
+    caps = {"n_max": budgets.get("n_max", 16), "window_radius": budgets.get("window_radius", 12)}
+    for name, cap in caps.items():
+        if type(cap) is not int or cap <= 0:
+            raise DomainViolation(f"budgets.{name} must be a positive integer, got {cap!r}")
+    budget = Budget(n_max=caps["n_max"], window=caps["window_radius"])
     return Instance(gauge, pstar, budget, kind, obj, triangle)
 
 

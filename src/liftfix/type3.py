@@ -129,35 +129,6 @@ def triangle_from_gammas(b, g1, g2, g3) -> Type3Triangle:
     return Type3Triangle(b, (g1, g2, g3), body, lat, vs, deltas, s, (d1, d2, d3))
 
 
-def mixing_hull_report(b) -> dict:
-    """Which of two candidate b-domains contains b.
-
-    Two hull descriptions of the mixing domain circulate and they disagree;
-    the constructor enforces the inequality constraints instead, and this
-    report lets callers see where a given b falls.
-    """
-    b = tuple(rat(c) for c in b)
-
-    def strict_in_triangle(p, q, r, x):
-        sign = cross2(vsub(q, p), vsub(r, p))
-        for a, c in ((p, q), (q, r), (r, p)):
-            s = cross2(vsub(c, a), vsub(x, a))
-            if sign > 0 and s <= 0:
-                return False
-            if sign < 0 and s >= 0:
-                return False
-        return True
-
-    return {
-        "narrow_hull": strict_in_triangle(
-            (ZERO, -ONE), (ZERO, Fraction(-1, 2)), (-ONE, -ONE), b
-        ),
-        "wide_hull": strict_in_triangle(
-            (ZERO, ZERO), (ZERO, Fraction(-1, 2)), (-ONE, -ONE), b
-        ),
-    }
-
-
 def triangle_from_mixing(b) -> Type3Triangle:
     """Mixing-set Type 3 triangle; slopes follow from b by closed forms."""
     b = tuple(rat(c) for c in b)
@@ -276,7 +247,7 @@ class SplitCoverCert:
     apex: Vec
 
 
-def split_cover_certify(b, budget: Budget = Budget()) -> SplitCoverCert:
+def split_cover_certify(b) -> SplitCoverCert:
     """Cover each positive-height slice of the mixing pyramid by three splits.
 
     Residual area exactly 0 at height k certifies the slice's relative

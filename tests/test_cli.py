@@ -137,6 +137,33 @@ class TestExitCodes:
         assert err["error"]["type"] == "NoPositiveValueWithinBudget"
         assert err["error"]["best"] == "0"
 
+    def test_instance_budget_is_the_budget(self, tmp_path, capsys):
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps({**MIXING, "pstar": ["0", "0"], "budgets": {"n_max": 3}}),
+                        encoding="utf-8")
+        assert main(["lift", "value", "--instance", str(path)]) == 3
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["message"] == "no positive candidate for N <= 3"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gauge", "eval", "--instance", "MIXING"],
+            ["plot", "svg", "--instance", "MIXING"],
+            [],
+            ["lift", "value", "--instance", "MIXING", "--bogus"],
+            ["lift", "value", "--instance", "MIXING", "--format", "pdf"],
+            ["lift", "value", "--instance", "MIXING", "--budget-n", "3"],
+        ],
+        ids=["gauge-eval-without-r", "plot-an-instance", "no-command", "unknown-flag",
+             "unknown-format", "removed-budget-flag"],
+    )
+    def test_usage_errors_exit_two(self, argv, instance_path, capsys):
+        code = main([instance_path if a == "MIXING" else a for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        assert json.loads(out)["error"]["type"] == "DomainViolation"
+
     def test_missing_flag_exits_two(self, instance_path, capsys):
         code = main(["lift", "seq", "--instance", instance_path])
         assert code == 2
@@ -183,9 +210,15 @@ class TestExitCodes:
             (json.dumps({**TRIANGLE, "lattice": {**TRIANGLE["lattice"], "truncation": trunc}}),
              "DimensionMismatch")
             for trunc in ([[["1"], "0"]], [["1", "0"]], [[["1", "0", "0"], "0"]])
+        ] + [
+            (json.dumps({**MIXING, "budgets": budgets}), "DomainViolation")
+            for budgets in ({"n_max": 0}, {"window_radius": -3}, {"n_max": 3.5},
+                            {"window_radius": "12"})
         ],
         ids=["not-json", "rows-without-lattice", "bad-rational", "rows-1d-lattice",
-             "truncation-short-row", "truncation-bare-row", "truncation-long-row"],
+             "truncation-short-row", "truncation-bare-row", "truncation-long-row",
+             "budget-n-zero", "budget-window-negative", "budget-n-fraction",
+             "budget-window-string"],
     )
     def test_malformed_instance_exits_two(self, text, kind, tmp_path, capsys):
         path = tmp_path / "malformed.json"

@@ -79,27 +79,65 @@ def brute_psi_star(g, value, pstar, point, nmax=8, rad=8):
     return best
 
 
+def box_points(lat, c, rad):
+    """Test-only oracle: the points of S within rad of c in every coordinate.
+
+    A tail coordinate runs from 0 up; S-membership is decided by
+    lattice.contains.
+    """
+    ranges = [[b + k for k in range(round(ci - b) - rad, round(ci - b) + rad + 1)]
+              for b, ci in zip(lat.shift, c)]
+    ranges += [range(max(0, round(ci) - rad), round(ci) + rad + 1) for ci in c[lat.dim:]]
+    for x in itertools.product(*ranges):
+        x = tuple(F(v) for v in x)
+        if contains(lat, x):
+            yield x
+
+
 def box_lift_value(g, pstar, nmax, rad, slack=0):
     """Test-only oracle: max of (1 - psi(x - N*pstar)) / N over a box of S.
 
-    For N = 1..nmax, x runs over the points within rad of N*pstar in every
-    coordinate (a tail height from 0 up), S-membership decided by
-    lattice.contains.  Heights stop once 1/N + slack, an upper bound on
-    every height-N candidate, falls below the best found.
+    For N = 1..nmax, x runs over the box_points within rad of N*pstar.
+    Heights stop once 1/N + slack, an upper bound on every height-N
+    candidate, falls below the best found.
     """
-    lat = g.lattice
     best = None
     for N in range(1, nmax + 1):
         if best is not None and F(1, N) + slack < best:
             break
         c = vscale(N, pstar)
-        ranges = [[b + k for k in range(round(ci - b) - rad, round(ci - b) + rad + 1)]
-                  for b, ci in zip(lat.shift, c)]
-        ranges += [range(max(0, round(ci) - rad), round(ci) + rad + 1) for ci in c[lat.dim:]]
-        for x in itertools.product(*ranges):
-            x = tuple(F(v) for v in x)
-            if contains(lat, x):
-                val = (1 - psi(g, vsub(x, c))) / N
+        for x in box_points(g.lattice, c, rad):
+            val = (1 - psi(g, vsub(x, c))) / N
+            if best is None or val > best:
+                best = val
+    return best
+
+
+def box_cone_boundary(g, pstar, lam, kmax, rad):
+    """Test-only oracle: the lifted cone's boundary points (x, k), k <= kmax.
+
+    (x, k) is on the boundary when psi(x - k*pstar) + k*lam == 1, x among
+    the box_points within rad of k*pstar; the output is in (k, x) order.
+    """
+    out = []
+    for k in range(kmax + 1):
+        c = vscale(k, pstar)
+        out += [(x, k) for x in box_points(g.lattice, c, rad) if psi(g, vsub(x, c)) + k * lam == 1]
+    return tuple(out)
+
+
+def box_seq_value(g, p1, p2, v1, k1max, k2max, rad):
+    """Test-only oracle: max of (1 - k1*v1 - psi(x - k1*p1 - k2*p2)) / k2 over a box.
+
+    k1 runs over 0..k1max, k2 over 1..k2max and x over the box_points
+    within rad of k1*p1 + k2*p2.
+    """
+    best = None
+    for k1 in range(k1max + 1):
+        for k2 in range(1, k2max + 1):
+            c = vadd(vscale(k1, p1), vscale(k2, p2))
+            for x in box_points(g.lattice, c, rad):
+                val = (1 - k1 * v1 - psi(g, vsub(x, c))) / k2
                 if best is None or val > best:
                     best = val
     return best
@@ -382,13 +420,17 @@ class TestLiftings:
                 assert star <= max(dot(row, moved) for row in cone.rows)
 
 
+def truncated_triangle():
+    """x, y >= -1/2, x + y <= 1 over (-1/2, -1/2) + Z^2, truncated to x <= 1/2."""
+    lat = Lattice(2, (F(-1, 2), F(-1, 2)), truncation=(((F(1), F(0)), F(1, 2)),))
+    return Gauge(HPoly(2, ((F(-2), F(0)), (F(0), F(-2)), (F(1), F(1)))), lat)
+
+
 class TestTruncationAndTails:
     """The gauge scans enumerate S itself: truncation rows and tail heights count."""
 
     def test_truncated_value_and_blocking(self):
-        # x, y >= -1/2, x + y <= 1 over (-1/2, -1/2) + Z^2, truncated to x <= 1/2
-        lat = Lattice(2, (F(-1, 2), F(-1, 2)), truncation=(((F(1), F(0)), F(1, 2)),))
-        g = Gauge(HPoly(2, ((F(-2), F(0)), (F(0), F(-2)), (F(1), F(1)))), lat)
+        g = truncated_triangle()
         pstar = (F(7, 8), F(-1, 2))
         cert = v_psi(g, pstar)
         # (3/2, -1/2) would block at 3/8, but the truncation x <= 1/2 excludes it
@@ -419,6 +461,46 @@ class TestTruncationAndTails:
         assert cert.value == value
         assert box_lift_value(g, pstar, nmax=40, rad=5, slack=pstar[2] / 5) == value
         assert all(contains(g.lattice, x) for x, _ in cert.blocking)
+
+    def test_truncated_cone_boundary_matches_box_scan(self):
+        # the cone at 1/4 ends by height 4; the box scan goes on to 8
+        g = truncated_triangle()
+        pstar = (F(7, 8), F(-1, 2))
+        want = box_cone_boundary(g, pstar, F(1, 4), kmax=8, rad=5)
+        assert (F(1, 2), F(1, 2)) in [x for x, k in want if k == 1]
+        assert v_psi_geometric(g, pstar, F(1, 4)).boundary == want
+
+    @pytest.mark.parametrize(
+        "pstar, value",
+        [((F(1, 2), F(7, 8), F(1, 4)), F(1, 2)), ((F(7, 8), F(-3, 4), F(5, 2)), F(11, 10))],
+    )
+    def test_pyramid_cone_boundary_matches_box_scan(self, tri, pstar, value):
+        # psi >= -k*pstar3/5 on S - k*pstar closes the cone below height 3;
+        # the height-0 boundary reaches tail height 4, so the box has radius 5
+        g = Gauge(pyramid(tri).body, tri.lattice.with_tail(1))
+        want = box_cone_boundary(g, pstar, value, kmax=6, rad=5)
+        assert any(k >= 1 for _, k in want)
+        assert v_psi_geometric(g, pstar, value).boundary == want
+
+    @pytest.mark.parametrize(
+        "p1, p2, value",
+        [
+            ((F(-1, 2), F(-3, 4), F(1, 4)), (F(1, 2), F(3, 4), F(5, 8)), F(3, 5)),
+            ((F(1), F(-1, 8), F(5, 4)), (F(7, 8), F(-1), F(1, 4)), F(3, 10)),
+            ((F(0), F(-1, 8), F(13, 8)), (F(0), F(5, 8), F(15, 8)), F(9, 20)),
+        ],
+    )
+    def test_sequential_over_a_tail_matches_box_scan(self, tri, p1, p2, value):
+        # each pair has a blocking point at k1 = 1, so the twice-lifted cone
+        # is scanned past its k1 = 0 slice
+        g = Gauge(pyramid(tri).body, tri.lattice.with_tail(1))
+        v1 = v_psi(g, p1).value
+        sq = v_seq(g, p1, p2, v1)
+        assert sq.value == value == box_seq_value(g, p1, p2, v1, k1max=3, k2max=12, rad=2)
+        assert any(k1 >= 1 for _, k1, _ in sq.blocking)
+        for x, k1, k2 in sq.blocking:
+            c = vadd(vscale(k1, p1), vscale(k2, p2))
+            assert contains(g.lattice, x) and (1 - k1 * v1 - psi(g, vsub(x, c))) / k2 == value
 
     def test_pyramid_heights_that_never_close(self, tri):
         # the box oracle finds 1/5, exactly psi's floor rate times -pstar3, so

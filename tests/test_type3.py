@@ -22,7 +22,6 @@ from liftfix.type3 import (
     claim_check,
     figure_points,
     fixed_ball,
-    mixing_hull_report,
     one_point_fixable,
     pyramid,
     split_cover_certify,
@@ -80,12 +79,6 @@ class TestConstruction:
             for i in range(3):
                 assert dot(tri.body.rows[i], tri.s[i]) == 1
                 assert 0 < tri.deltas[i] < 1
-
-    def test_hull_report_for_first_instance(self):
-        # the two printed hulls disagree; this b sits only in the narrow one
-        rep = mixing_hull_report(B1)
-        assert rep["narrow_hull"] is True
-        assert rep["wide_hull"] is False
 
 
 class TestPyramid:
