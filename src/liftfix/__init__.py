@@ -8,7 +8,7 @@ certificate can be re-verified independently.
 __version__ = "0.1.0"
 
 from .errors import LiftfixError
-from .exactgeo import HPoly, Polygon2, UNBOUNDED, area, clip, cone_slice, vertices2
+from .exactgeo import HPoly, Polygon2, area, clip, slice_polygon, vertices_from_rows
 from .gauge import Budget, Gauge, LiftCert, check_sfree, lifting_cone, psi_eval, v_psi, v_psi_geometric, v_seq, phi_eval, psi_star_eval
 from .lattice import Lattice, TranslationGroup, contains, points_in, translation_group
 from .fixing import FixApprox, CoverCert, Spindle, collision_check, cover_certify, fix_approx, slice_property_check, spindle, tki_map, translate_instance

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -298,10 +299,20 @@ _HANDLERS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with its usage errors raised as DomainViolation, not exit(2)."""
+    """argparse with its usage errors raised as DomainViolation, not exit(2).
+
+    A word that starts with `-` and a digit, such as "-1/2,7/8", is a value,
+    not an option; argparse on Python 3.10 and 3.11 takes only plain negative
+    decimals such as "-2" as values.
+    """
 
     def error(self, message):
         raise DomainViolation(f"{message} (see liftfix --help)")
+
+    def _parse_optional(self, arg_string):
+        if re.match(r"-\.?\d", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,14 +1,17 @@
 """Exact 2-D polygon engine and H-representation polyhedra.
 
-The polyhedra of interest are 0-neighborhoods ``{x : a_i . x <= 1}``; slices
-of translated cones can also produce rows with right-hand sides <= 0, which
-are carried as explicit ``(a, c)`` pairs instead of being force-scaled.
+The polyhedra of interest are 0-neighborhoods ``{x : a_i . x <= 1}``.  Every
+polygon is cut out by rational halfplanes given as ``(a, c)`` rows meaning
+``a . x <= c`` and comes from `vertices_from_rows`, which raises
+UnboundedRegion when the rows leave the region unbounded; a slice of a
+higher-dimensional polyhedron is the same call after fixing its last
+coordinate.
 
 Everything is pure Fraction arithmetic: vertex enumeration, halfplane
-clipping, shoelace areas, unions in the plane and on the unit torus (one
-exact slab sweep), and slicing of higher-dimensional cones down to the
-plane.  Lower-dimensional intersections (segments, points) are ordinary
-polygons with area 0, not special cases.  All values are immutable and all functions are deterministic.
+clipping, shoelace areas, and unions in the plane and on the unit torus (one
+exact slab sweep).  Lower-dimensional intersections (segments, points) are
+ordinary polygons with area 0, not special cases.  All values are immutable
+and all functions are deterministic.
 """
 
 from __future__ import annotations
@@ -19,21 +22,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, UnboundedRegion
 from .rational import Vec, cross2, dot, rat, vadd, vsub
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-class _Unbounded:
-    """Sentinel returned by vertex enumeration when a recession ray exists."""
-
-    def __repr__(self):
-        return "UNBOUNDED"
-
-
-UNBOUNDED = _Unbounded()
 
 
 @dataclass(frozen=True)
@@ -66,13 +59,6 @@ class HPoly:
     def as_pairs(self) -> tuple:
         """Rows as (a, 1) halfplane pairs."""
         return tuple((a, ONE) for a in self.rows)
-
-    def contains(self, x: Vec, strict: bool = False) -> bool:
-        if len(x) != self.dim:
-            raise DimensionMismatch("point/polyhedron dimension mismatch")
-        if strict:
-            return all(dot(a, x) < 1 for a in self.rows)
-        return all(dot(a, x) <= 1 for a in self.rows)
 
     def canonical_rows(self) -> tuple:
         return tuple(sorted(self.rows))
@@ -109,26 +95,20 @@ class Polygon2:
         i = vs.index(min(vs))
         return vs[i:] + vs[:i]
 
-    def contains(self, p: Vec, strict: bool = False) -> bool:
+    def contains(self, p: Vec) -> bool:
         vs = self.vertices
         if not vs:
             return False
         if len(vs) == 1:
-            return (not strict) and p == vs[0]
+            return p == vs[0]
         if len(vs) == 2:
-            if strict:
-                return False
             d = vsub(vs[1], vs[0])
             w = vsub(p, vs[0])
             if cross2(d, w) != 0:
                 return False
             t = dot(d, w)
             return 0 <= t <= dot(d, d)
-        for a, b in edges(vs):
-            c = cross2(vsub(b, a), vsub(p, a))
-            if c < 0 or (strict and c == 0):
-                return False
-        return True
+        return all(cross2(vsub(b, a), vsub(p, a)) >= 0 for a, b in edges(vs))
 
 
 def edges(vs):
@@ -242,11 +222,13 @@ def _ccw_sorted(points):
     return tuple(sorted(points, key=functools.cmp_to_key(cmp)))
 
 
-def vertices_from_rows(rows):
+def vertices_from_rows(rows) -> Polygon2:
     """Exact vertex list of the polygon {x : a.x <= c for (a,c) in rows}.
 
-    Returns a Polygon2 (possibly empty or degenerate) or UNBOUNDED when the
-    region is nonempty and has a recession direction.
+    The polygon may be empty, a point or a segment.  A nonempty region that
+    is not bounded raises UnboundedRegion: the whole plane (no nonzero row),
+    a region without a vertex (halfplane, strip, line) or one with a
+    recession ray (wedge).
     """
     rows = [(tuple(a), rat(c)) for a, c in rows]
     # zero-normal rows are trivial or infeasible
@@ -259,7 +241,7 @@ def vertices_from_rows(rows):
             clean.append((a, c))
     rows = clean
     if not rows:
-        return UNBOUNDED
+        raise UnboundedRegion("no nonzero row bounds the region")
 
     candidates = set()
     for (a1, c1), (a2, c2) in itertools.combinations(rows, 2):
@@ -272,11 +254,11 @@ def vertices_from_rows(rows):
 
     if not candidates:
         if fm_feasible(list(rows), 2):
-            return UNBOUNDED  # nonempty but vertex-free: halfplane, strip, line
+            raise UnboundedRegion("region is nonempty but has no vertex")
         return Polygon2(())
 
     if _recession_ray(rows) is not None:
-        return UNBOUNDED
+        raise UnboundedRegion("region has a recession direction")
 
     pts = sorted(candidates)
     if len(pts) == 1:
@@ -285,17 +267,6 @@ def vertices_from_rows(rows):
     if all(cross2(d, vsub(p, pts[0])) == 0 for p in pts):
         return Polygon2((pts[0], pts[-1]))  # collinear: keep the extremes
     return Polygon2(_ccw_sorted(pts))
-
-
-def vertices2(poly: HPoly | None, extra_rows=()) -> Polygon2 | _Unbounded:
-    """Vertex enumeration of a 2-D HPoly plus optional (a, c) extra rows."""
-    rows = []
-    if poly is not None:
-        if poly.dim != 2:
-            raise DimensionMismatch("vertices2 requires a 2-D polyhedron")
-        rows.extend(poly.as_pairs())
-    rows.extend((tuple(a), rat(c)) for a, c in extra_rows)
-    return vertices_from_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -388,49 +359,22 @@ def convex_hull(points) -> Polygon2:
 
 def convex_intersection(pa: Polygon2, pb: Polygon2) -> Polygon2:
     """Intersection of two convex polygons by edge clipping; pb needs area."""
-    if len(pb.vertices) < 3 or pa.is_empty:
+    if len(pb.vertices) < 3:
         return Polygon2(())
-    out = pa
-    for v, w in edges(pb.vertices):
-        d = vsub(w, v)
-        a = (d[1], -d[0])
-        out = clip(out, (a, dot(a, v)))
-        if out.is_empty:
-            break
-    return out
+    # pb is CCW: the halfplane left of each edge v -> w
+    halfplanes = (((w[1] - v[1], v[0] - w[0]), cross2(v, w)) for v, w in edges(pb.vertices))
+    return clip_many(pa, halfplanes)
 
 
 # ---------------------------------------------------------------------------
-# Cone slicing
+# Slicing
 # ---------------------------------------------------------------------------
 
 
-def cone_slice(cone: HPoly, t) -> tuple:
-    """H-representation of {x : (x, t) in cone} one dimension down.
-
-    Returns (HPoly, extras): rows whose right-hand side stays positive are
-    renormalized to rhs 1; the rest (possible at and above an apex) are kept
-    as explicit (a, c) pairs.
-    """
+def slice_polygon(rows, t) -> Polygon2:
+    """The polygon {x : (x, t) in P} of P = {y : a.y <= c} one dimension up."""
     t = rat(t)
-    if cone.dim < 2:
-        raise DimensionMismatch("cannot slice a 1-D polyhedron")
-    normalized = []
-    extras = []
-    for row in cone.rows:
-        a, h = row[:-1], row[-1]
-        c = 1 - h * t
-        if c > 0:
-            normalized.append(tuple(x / c for x in a))
-        else:
-            extras.append((a, c))
-    return HPoly(cone.dim - 1, tuple(normalized)), tuple(extras)
-
-
-def slice_polygon(cone: HPoly, t) -> Polygon2 | _Unbounded:
-    """Vertex form of a height-t slice of a 3-D polyhedron."""
-    hp, extras = cone_slice(cone, t)
-    return vertices2(hp if hp.rows else None, extras)
+    return vertices_from_rows([(a[:-1], c - a[-1] * t) for a, c in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,11 @@ from .errors import (
     NotArgmax,
     OriginNotInterior,
     PreconditionViolated,
-    UnboundedRegion,
 )
 from .exactgeo import (
     HPoly,
     Polygon2,
-    UNBOUNDED,
+    slice_polygon,
     torus_cover,
     vertices_from_rows,
 )
@@ -39,16 +38,12 @@ from .rational import Vec, dot, is_integral, rat, vadd, vscale, vsub
 
 @dataclass(frozen=True)
 class Spindle:
-    """H-form {(a_i - a_k).r <= 0, (a_i - a_k).(anchor - r) <= 0} plus its polygon."""
+    """H-form {(a_i - a_k).r <= 0, (a_i - a_k).(x - r) <= 0} plus its polygon."""
 
-    anchor: Vec
-    apex_index: int
-    rows: tuple  # ((vec, rhs), ...) in the anchor's dimension
+    rows: tuple  # ((vec, rhs), ...) in the dimension of x
     polygon: Polygon2 | None  # vertex form when 2-D
 
-    def contains(self, x: Vec, strict: bool = False) -> bool:
-        if strict:
-            return all(dot(a, x) < c for a, c in self.rows)
+    def contains(self, x: Vec) -> bool:
         return all(dot(a, x) <= c for a, c in self.rows)
 
 
@@ -68,19 +63,7 @@ def spindle(base_rows, x: Vec, k: int) -> Spindle:
     poly = None
     if len(x) == 2:
         poly = vertices_from_rows(ext)
-        if poly is UNBOUNDED:
-            raise UnboundedRegion("spindle of an unbounded body")
-    return Spindle(tuple(x), k, tuple(ext), poly)
-
-
-def spindle_slice(sp: Spindle, t) -> Polygon2:
-    """Height-t slice of an (n+1)-dimensional spindle, as a 2-D polygon."""
-    t = rat(t)
-    rows2 = [(a[:-1], c - a[-1] * t) for a, c in sp.rows]
-    poly = vertices_from_rows(rows2)
-    if poly is UNBOUNDED:
-        raise UnboundedRegion("spindle slice is unbounded")
-    return poly
+    return Spindle(tuple(ext), poly)
 
 
 def slice_property_check(g: Gauge, cert: LiftCert, pair, t) -> bool:
@@ -98,8 +81,8 @@ def slice_property_check(g: Gauge, cert: LiftCert, pair, t) -> bool:
         if v != m:
             continue
         sp = spindle(lifted.rows, point, idx)
-        left = spindle_slice(sp, t)
-        right = spindle_slice(sp, 0).translate(shift2)
+        left = slice_polygon(sp.rows, t)
+        right = slice_polygon(sp.rows, 0).translate(shift2)
         if left.canonical() != right.canonical():
             return False
     return True

@@ -36,7 +36,7 @@ from .errors import (
     PreconditionViolated,
     UnboundedRegion,
 )
-from .exactgeo import HPoly, Polygon2, fm_upper_bound, vertices2, UNBOUNDED
+from .exactgeo import HPoly, Polygon2, fm_upper_bound, vertices_from_rows
 from .lattice import Lattice, _points, _scan, points_in
 from .rational import Vec, dot, rat, vadd, vscale, vsub
 
@@ -84,10 +84,7 @@ class Gauge:
         return -sup
 
     def body_polygon(self) -> Polygon2:
-        poly = vertices2(self.body)
-        if poly is UNBOUNDED:
-            raise UnboundedRegion("gauge body is unbounded")
-        return poly
+        return vertices_from_rows(self.body.as_pairs())
 
 
 def psi_eval(g: Gauge, r: Vec) -> GaugeValue:

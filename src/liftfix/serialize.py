@@ -125,12 +125,10 @@ def covercert_to_json(c: CoverCert) -> dict:
 class Instance:
     """Parsed problem instance: a gauge, optional pstar, and budgets."""
 
-    def __init__(self, gauge: Gauge, pstar, budget: Budget, body_kind: str, raw: dict,
-                 triangle=None):
+    def __init__(self, gauge: Gauge, pstar, budget: Budget, raw: dict, triangle=None):
         self.gauge = gauge
         self.pstar = pstar
         self.budget = budget
-        self.body_kind = body_kind
         self.raw = raw
         self.triangle = triangle
 
@@ -177,7 +175,7 @@ def _parse_instance(obj: dict) -> Instance:
         if type(cap) is not int or cap <= 0:
             raise DomainViolation(f"budgets.{name} must be a positive integer, got {cap!r}")
     budget = Budget(n_max=caps["n_max"], window=caps["window_radius"])
-    return Instance(gauge, pstar, budget, kind, obj, triangle)
+    return Instance(gauge, pstar, budget, obj, triangle)
 
 
 def dumps_canonical(payload) -> str:

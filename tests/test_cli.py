@@ -106,6 +106,29 @@ class TestCommands:
         assert code == 0
         assert json.loads(data)["certificate"]["psistar"] == "1/2"
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("lift value", "--pstar", "-1/2,7/8"),
+            ("lift phi", "--p", "-1/2,0"),
+            ("lift seq", "--p2", "-1/2,15/8"),
+            ("fix translate", "--m", "-1/16,0"),
+            ("lift psistar", "--point", "-1/2,7/8,0"),
+            ("gauge eval", "--r", "-1/2 0"),
+        ],
+        ids=["pstar", "p", "p2", "m", "point", "r"],
+    )
+    def test_negative_flag_values_in_either_spelling(self, command, flag, value, instance_path,
+                                                     tmp_path):
+        args = command.split() + ["--instance", instance_path]
+        code, spaced = run_cli(args + [flag, *value.split()], tmp_path, "a.json")
+        assert code == 0
+        code, joined = run_cli(args + [f"{flag}={value.replace(' ', ',')}"], tmp_path, "b.json")
+        assert code == 0
+        assert _strip_timing(spaced) == _strip_timing(joined)
+        if flag == "--pstar":
+            assert json.loads(spaced)["certificate"]["value"] == "1/5"
+
     def test_tilt_command(self, instance_path, tmp_path):
         code, data = run_cli(
             ["type3", "tilt", "--instance", instance_path, "--beta", "4"],

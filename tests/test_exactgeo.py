@@ -5,20 +5,21 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from liftfix.errors import UnboundedRegion
 from liftfix.exactgeo import (
     HPoly,
     Polygon2,
-    UNBOUNDED,
     area,
     clip,
     clip_many,
-    cone_slice,
     convex_hull,
     convex_intersection,
+    edges,
+    slice_polygon,
     torus_cover,
     union_area,
-    vertices2,
     vertices_from_rows,
 )
 from liftfix.rational import dot, vsub
@@ -57,7 +58,7 @@ def inclusion_exclusion_area(polys):
 class TestVertices:
     def test_symmetric_box(self):
         box = HPoly.from_rows([(1, 0), (-1, 0), (0, 1), (0, -1)])
-        poly = vertices2(box)
+        poly = vertices_from_rows(box.as_pairs())
         assert set(poly.vertices) == {
             (F(1), F(1)), (F(1), F(-1)), (F(-1), F(1)), (F(-1), F(-1))
         }
@@ -78,11 +79,23 @@ class TestVertices:
                 (-b1 / db, (b1 - b2 - 1) / db),
             ]
         )
-        poly = vertices2(rows)
+        poly = vertices_from_rows(rows.as_pairs())
         assert set(poly.vertices) == {v1, v2, v3}
 
-    def test_halfplane_is_unbounded(self):
-        assert vertices2(HPoly.from_rows([(1, 0)])) is UNBOUNDED
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [((0, 0), 1)],
+            [((1, 0), 1)],
+            [((1, 0), 1), ((-1, 0), 1)],
+            [((1, 0), 0), ((-1, 0), 0)],
+            [((1, 0), 0), ((0, 1), 0)],
+        ],
+        ids=["plane", "halfplane", "strip", "line", "wedge"],
+    )
+    def test_unbounded_regions_raise(self, rows):
+        with pytest.raises(UnboundedRegion):
+            vertices_from_rows([((F(a[0]), F(a[1])), F(c)) for a, c in rows])
 
     def test_empty_region(self):
         poly = vertices_from_rows([((F(1), F(0)), F(0)), ((F(-1), F(0)), F(-1))])
@@ -168,6 +181,40 @@ class TestAreaAndClip:
         assert clip(point, (zero, F(-1))).is_empty
 
 
+QUARTER = st.integers(-12, 12).map(lambda n: F(n, 4))
+ROW2 = st.tuples(st.tuples(*[st.integers(-3, 3).map(F)] * 2), QUARTER)
+ONE, ZERO = F(1), F(0)
+BOX = (F(-2), F(2), F(-2), F(2))  # x0, x1, y0, y1
+
+
+class TestContains:
+    """Polygon2.contains against the rows the polygon was built from."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        box=st.tuples(*[QUARTER] * 4),
+        rows=st.lists(ROW2, max_size=3),
+        lines=st.lists(ROW2, max_size=2),
+        p=st.tuples(QUARTER, QUARTER),
+    )
+    # two crossing lines make a point; one line through the box a segment
+    @example(BOX, [], [((ONE, ZERO), F(1, 4)), ((ZERO, ONE), ZERO)], (ZERO, ZERO))
+    @example(BOX, [], [((ONE, ONE), ZERO)], (ZERO, ZERO))
+    def test_matches_rows(self, box, rows, lines, p):
+        x0, x1, y0, y1 = box
+        region = [((ONE, ZERO), x1), ((-ONE, ZERO), -x0), ((ZERO, ONE), y1), ((ZERO, -ONE), -y0)]
+        region += rows
+        for a, c in lines:
+            region += [(a, c), ((-a[0], -a[1]), -c)]
+        poly = vertices_from_rows(region)
+        vs = poly.vertices
+        # edge midpoints, and points as far past each vertex as its edge is long
+        midpoints = [((v[0] + w[0]) / 2, (v[1] + w[1]) / 2) for v, w in edges(vs)]
+        beyond = [(2 * v[0] - w[0], 2 * v[1] - w[1]) for v, w in edges(vs)]
+        for q in (p, *vs, *midpoints, *beyond):
+            assert poly.contains(q) == all(dot(a, q) <= c for a, c in region)
+
+
 class TestConeSlice:
     def _mixing_cone(self):
         db = F(5, 16)
@@ -182,22 +229,17 @@ class TestConeSlice:
 
     def test_slice_at_zero_is_base(self):
         cone = self._mixing_cone()
-        hp, extras = cone_slice(cone, 0)
-        assert extras == ()
-        assert hp.rows == tuple(r[:2] for r in cone.rows)
+        base = vertices_from_rows([(a[:2], 1) for a in cone.rows])
+        assert slice_polygon(cone.as_pairs(), 0) == base
+        assert len(base.vertices) == 3
 
     def test_apex_slice_is_point(self):
         # derived oracle: apex (5/2, 35/8, 5), so the height-5 slice is that point
-        cone = self._mixing_cone()
-        hp, extras = cone_slice(cone, 5)
-        poly = vertices2(hp if hp.rows else None, extras)
+        poly = slice_polygon(self._mixing_cone().as_pairs(), 5)
         assert poly.vertices == ((F(5, 2), F(35, 8)),)
 
     def test_above_apex_is_empty(self):
-        cone = self._mixing_cone()
-        hp, extras = cone_slice(cone, 6)
-        poly = vertices2(hp if hp.rows else None, extras)
-        assert poly.is_empty
+        assert slice_polygon(self._mixing_cone().as_pairs(), 6).is_empty
 
 
 class TestCrossValidation:
@@ -216,8 +258,11 @@ class TestCrossValidation:
                     rows.append((a, rand_rat(rng, den=6)))
             if not rows:
                 continue
-            poly = vertices_from_rows(rows)
-            if poly is UNBOUNDED or poly.is_empty:
+            try:
+                poly = vertices_from_rows(rows)
+            except UnboundedRegion:
+                continue
+            if poly.is_empty:
                 continue
             checked += 1
             xmin, xmax, ymin, ymax = poly.bbox()

@@ -13,7 +13,7 @@ from liftfix.errors import (
     TruncationNeedsExplicitGroup,
     UnboundedRegion,
 )
-from liftfix.exactgeo import HPoly
+from liftfix.exactgeo import HPoly, slice_polygon
 from liftfix.lattice import (
     Lattice,
     _scan,
@@ -135,8 +135,6 @@ class TestPointsIn:
 
     def test_apex_slice_has_no_lattice_point(self):
         # the single-point slice at a cone apex carries no point of S
-        from liftfix.exactgeo import cone_slice
-
         db = F(5, 16)
         b1, b2 = B
         cone = HPoly.from_rows(
@@ -146,8 +144,9 @@ class TestPointsIn:
                 (-b1 / db, (b1 - b2 - 1) / db, (2 - b1 + 2 * b2) / (2 * db)),
             ]
         )
-        hp, extras = cone_slice(cone, 5)
-        assert points_in(S, hp, extra_rows=extras) == ()
+        assert slice_polygon(cone.as_pairs(), 5).vertices == ((F(5, 2), F(35, 8)),)
+        rows = [(a[:2], 1 - a[2] * 5) for a in cone.rows]
+        assert points_in(S, HPoly(2, ()), extra_rows=rows) == ()
 
     def test_unbounded_raises(self):
         with pytest.raises(UnboundedRegion):

@@ -12,7 +12,7 @@ from liftfix.errors import (
     PreconditionViolated,
     WindowTooSmall,
 )
-from liftfix.exactgeo import HPoly, area, convex_hull, vertices2, vertices_from_rows
+from liftfix.exactgeo import HPoly, area, convex_hull, slice_polygon, vertices_from_rows
 from liftfix.gauge import Budget, check_sfree, lifting_cone, psi
 from liftfix.fixing import fix_approx, spindle
 from liftfix.lattice import naive_box_points
@@ -292,16 +292,12 @@ class TestTilt:
         tri = triangle_from_mixing(B1)
         lo = _tilt_rows(tri, F(4), (F(0), F(0), F(1, 2)))
         hi = _tilt_rows(tri, F(4), (F(0), F(0), F(3, 4)))
-        from liftfix.exactgeo import cone_slice
-
-        for k in (0, 1, 2):
-            pl, el = cone_slice(lo, k)
-            ph, eh = cone_slice(hi, k)
-            poly_lo = vertices2(pl if pl.rows else None, el)
-            for v in getattr(poly_lo, "vertices", ()):
-                assert all(dot(a, v) <= 1 for a in ph.rows) and all(
-                    dot(a, v) <= c for a, c in eh
-                )
+        # the lower cone's apex is below height 1, so slice at fractions
+        for t in (F(0), F(1, 4), F(1, 2), F(3, 4)):
+            vs = slice_polygon(lo.as_pairs(), t).vertices
+            assert len(vs) == 3
+            for v in vs:
+                assert all(dot(a, v + (t,)) <= 1 for a in hi.rows)
 
     def test_second_instance_tilt(self):
         tri = triangle_from_mixing(B2)
