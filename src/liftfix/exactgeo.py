@@ -7,11 +7,12 @@ UnboundedRegion when the rows leave the region unbounded; a slice of a
 higher-dimensional polyhedron is the same call after fixing its last
 coordinate.
 
-Everything is pure Fraction arithmetic: vertex enumeration, halfplane
+Everything is exact rational arithmetic: vertex enumeration, halfplane
 clipping, shoelace areas, and unions in the plane and on the unit torus (one
-exact slab sweep).  Lower-dimensional intersections (segments, points) are
-ordinary polygons with area 0, not special cases.  All values are immutable
-and all functions are deterministic.
+exact slab sweep, run on integer coordinates scaled by one common
+denominator and returning exact Fractions).  Lower-dimensional intersections
+(segments, points) are ordinary polygons with area 0, not special cases.
+All values are immutable and all functions are deterministic.
 """
 
 from __future__ import annotations
@@ -386,11 +387,17 @@ _CELL = (((ONE, ZERO), ONE), ((-ONE, ZERO), ZERO), ((ZERO, ONE), ONE), ((ZERO, -
 
 
 def _wrap_into_cell(polys):
-    """Clip every integer translate of every polygon against [0,1]^2."""
+    """Clip every integer translate of every polygon against [0,1]^2.
+
+    Each ring is canonicalized once; translates of it stay canonical, and a
+    clip against a cell side that a translate does not cross would return it
+    unchanged, so only the crossed sides are clipped.
+    """
     pieces = []
     for poly in polys:
         if len(poly.vertices) < 3 or area(poly) == 0:
             continue
+        poly = Polygon2(_canon_ring(poly.vertices))
         xmin, xmax, ymin, ymax = poly.bbox()
         for i in range(math.ceil(-xmax), math.floor(1 - xmin) + 1):
             for j in range(math.ceil(-ymax), math.floor(1 - ymin) + 1):
@@ -398,25 +405,31 @@ def _wrap_into_cell(polys):
                 sx0, sx1, sy0, sy1 = shifted.bbox()
                 if sx1 <= 0 or sx0 >= 1 or sy1 <= 0 or sy0 >= 1:
                     continue
-                clipped = clip_many(shifted, _CELL)
+                crossed = (sx1 > 1, sx0 < 0, sy1 > 1, sy0 < 0)
+                clipped = clip_many(shifted, itertools.compress(_CELL, crossed))
                 if area(clipped) > 0:
                     pieces.append(clipped)
     return pieces
 
 
-def _vertical_intervals(piece: Polygon2, x):
-    """y-intervals of a convex piece on the vertical line X = x.
+def segment_crossing(p, q, r, s):
+    """Where the segments [p, q] and [r, s] meet, found without a division.
 
-    The sweep only evaluates at slab midpoints, which never coincide with a
-    vertex abscissa, so every boundary crossing is transversal.
+    Returns (num, det) with det > 0, the crossing being p + (num/det)(q - p),
+    or None when the segments are parallel or miss.  Coordinates are ints or
+    Fractions.
     """
-    ys = []
-    for p, q in edges(piece.vertices):
-        if (p[0] - x) * (q[0] - x) < 0:
-            t = (x - p[0]) / (q[0] - p[0])
-            ys.append(p[1] + t * (q[1] - p[1]))
-    ys.sort()
-    return [(ys[i], ys[i + 1]) for i in range(0, len(ys) - 1, 2)]
+    d1x, d1y, d2x, d2y = q[0] - p[0], q[1] - p[1], s[0] - r[0], s[1] - r[1]
+    det = d1x * d2y - d1y * d2x
+    if det == 0:
+        return None
+    wx, wy = r[0] - p[0], r[1] - p[1]
+    num, unum = wx * d2y - wy * d2x, wx * d1y - wy * d1x
+    if det < 0:
+        det, num, unum = -det, -num, -unum
+    if 0 <= num <= det and 0 <= unum <= det:
+        return num, det
+    return None
 
 
 def _merged_length(intervals):
@@ -440,37 +453,41 @@ def _slabs(pieces, bounds=()):
     event lies strictly inside a slab, so the union's vertical cross-section
     is linear in x there; `merged` is its y-intervals at the slab midpoint
     and (x1 - x0) * length is the slab's exact area.
+
+    The sweep runs on integer coordinates, every vertex scaled by the common
+    denominator L of all of them; each crossing and interval end comes back
+    as one exact Fraction.  A slab midpoint is never a vertex abscissa, so
+    every edge it meets crosses it transversally.
     """
+    L = math.lcm(*(c.denominator for piece in pieces for v in piece.vertices for c in v))
+    rings = [tuple((x.numerator * (L // x.denominator), y.numerator * (L // y.denominator))
+                   for x, y in piece.vertices) for piece in pieces]
+    boxes = [Polygon2(ring).bbox() for ring in rings]
     xs = set(bounds)
-    for piece in pieces:
-        for v in piece.vertices:
-            xs.add(v[0])
-    boxes = [p.bbox() for p in pieces]
-    for (ia, pa), (ib, pb) in itertools.combinations(enumerate(pieces), 2):
-        ax0, ax1, ay0, ay1 = boxes[ia]
-        bx0, bx1, by0, by1 = boxes[ib]
+    xs.update(v[0] for piece in pieces for v in piece.vertices)
+    pairs = itertools.combinations(zip(rings, boxes), 2)
+    for (ra, (ax0, ax1, ay0, ay1)), (rb, (bx0, bx1, by0, by1)) in pairs:
         if ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0:
             continue
-        for (p, q), (r, s) in itertools.product(edges(pa.vertices), edges(pb.vertices)):
-            if max(min(p[0], q[0]), min(r[0], s[0])) > min(max(p[0], q[0]), max(r[0], s[0])):
-                continue
-            if max(min(p[1], q[1]), min(r[1], s[1])) > min(max(p[1], q[1]), max(r[1], s[1])):
-                continue
-            d1, d2 = vsub(q, p), vsub(s, r)
-            det = cross2(d1, d2)
-            if det == 0:
-                continue
-            t = cross2(vsub(r, p), d2) / det
-            ix = p[0] + t * d1[0]
-            if min(p[0], q[0]) <= ix <= max(p[0], q[0]) and min(r[0], s[0]) <= ix <= max(r[0], s[0]):
-                xs.add(ix)
+        for (p, q), (r, s) in itertools.product(edges(ra), edges(rb)):
+            hit = segment_crossing(p, q, r, s)
+            if hit:
+                num, det = hit
+                xs.add(Fraction(p[0] * det + num * (q[0] - p[0]), det * L))
 
     for x0, x1 in itertools.pairwise(sorted(xs)):
         xm = (x0 + x1) / 2
+        n, d = xm.numerator * L, xm.denominator
         intervals = []
-        for piece, (px0, px1, _, _) in zip(pieces, boxes):
-            if px0 < xm < px1:
-                intervals.extend(_vertical_intervals(piece, xm))
+        for ring, (px0, px1, _, _) in zip(rings, boxes):
+            if px0 * d < n < px1 * d:
+                ys = []
+                for (px, py), (qx, qy) in edges(ring):
+                    if (px * d - n) * (qx * d - n) < 0:
+                        dx = (qx - px) * d
+                        ys.append(Fraction(py * dx + (n - px * d) * (qy - py), dx * L))
+                ys.sort()
+                intervals.extend(zip(ys[::2], ys[1::2]))
         yield (x0, x1, *_merged_length(intervals))
 
 

@@ -40,8 +40,8 @@ from .exactgeo import (
     clip_many,
     convex_hull,
     convex_intersection,
-    cross2,
     edges,
+    segment_crossing,
     slice_polygon,
     union_area,
 )
@@ -683,14 +683,9 @@ def fixed_ball(tri: Type3Triangle, beta, budget: Budget = Budget()) -> FixedBall
                     cands.add(max(abs(q2[0] - pstar[0]), abs(q2[1] - pstar[1])))
     for pa, pb in itertools.combinations(pieces, 2):
         for (p, q), (r_, s_) in itertools.product(edges(pa.vertices), edges(pb.vertices)):
-            d1, d2 = vsub(q, p), vsub(s_, r_)
-            det = cross2(d1, d2)
-            if det == 0:
-                continue
-            tpar = cross2(vsub(r_, p), d2) / det
-            upar = cross2(vsub(r_, p), d1) / det
-            if 0 <= tpar <= 1 and 0 <= upar <= 1:
-                q2 = vadd(p, vscale(tpar, d1))
+            hit = segment_crossing(p, q, r_, s_)
+            if hit:
+                q2 = vadd(p, vscale(Fraction(*hit), vsub(q, p)))
                 cands.add(max(abs(q2[0] - pstar[0]), abs(q2[1] - pstar[1])))
 
     radii = sorted(r for r in cands if r > 0)

@@ -3,8 +3,14 @@
 import random
 from fractions import Fraction as F
 
+from hypothesis import settings
+
 from liftfix.errors import DomainViolation
 from liftfix.type3 import triangle_from_gammas
+
+# `--hypothesis-profile=ci` replays the same examples on every run; without
+# it, each run draws new ones.
+settings.register_profile("ci", derandomize=True)
 
 
 def random_valid_triangle(rng: random.Random):

@@ -1,6 +1,7 @@
 """Exact polygon engine tests: frozen oracle values plus property checks."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,20 +10,25 @@ from hypothesis import example, given, settings, strategies as st
 
 from liftfix.errors import UnboundedRegion
 from liftfix.exactgeo import (
+    _CELL,
     HPoly,
     Polygon2,
+    _merged_length,
+    _slabs,
+    _wrap_into_cell,
     area,
     clip,
     clip_many,
     convex_hull,
     convex_intersection,
     edges,
+    segment_crossing,
     slice_polygon,
     torus_cover,
     union_area,
     vertices_from_rows,
 )
-from liftfix.rational import dot, vsub
+from liftfix.rational import cross2, dot, vsub
 
 
 def square(a, b, c, d):
@@ -340,7 +346,21 @@ class TestTorusUnion:
     def test_two_disjoint_quarters(self):
         q1 = square((0, 0), (F(1, 2), 0), (F(1, 2), F(1, 2)), (0, F(1, 2)))
         q2 = square((F(1, 2), F(1, 2)), (1, F(1, 2)), (1, 1), (F(1, 2), 1))
-        assert torus_cover([q1, q2])[0] == F(1, 2)
+        # the first slab, 0 < x < 1/2, is covered below y = 1/2 only
+        assert torus_cover([q1, q2]) == (F(1, 2), (F(1, 4), F(3, 4)))
+
+    def test_witness_beside_a_vertical_edge(self):
+        # a triangle under y = 2x with a vertical edge at x = 1/2, and a band
+        # 1/4 <= y <= 1/2 that wraps across x = 1; they overlap in 5/64.  The
+        # hypotenuse meets the band at x = 1/8, so the first slab is
+        # 0 < x < 1/8, covered below 1/8 and in the band: the gap between
+        tri = Polygon2(((F(0), F(0)), (F(1, 2), F(0)), (F(1, 2), F(1))))
+        band = square((F(1, 2), F(1, 4)), (F(3, 2), F(1, 4)), (F(3, 2), F(1, 2)), (F(1, 2), F(1, 2)))
+        assert torus_cover([tri, band]) == (F(27, 64), (F(1, 16), F(3, 16)))
+        # a vertical edge on the cell side x = 0: at x = 1/8 the triangle
+        # covers 1/8 <= y <= 7/8, and the lowest gap is below it
+        tri = Polygon2(((F(0), F(0)), (F(1, 2), F(1, 2)), (F(0), F(1))))
+        assert torus_cover([tri, band]) == (F(13, 32), (F(1, 8), F(1, 16)))
 
     def test_translation_invariance(self):
         rng = random.Random(3)
@@ -362,3 +382,199 @@ class TestTorusUnion:
             for _ in range(4)
         ]
         assert torus_cover(polys)[0] == torus_cover(polys)[0]
+
+
+# ---------------------------------------------------------------------------
+# The integer sweep against a copy of the Fraction sweep it replaced
+# ---------------------------------------------------------------------------
+
+
+def fraction_wrap_into_cell(polys):
+    """The torus wrap clipping every translate against all four cell sides."""
+    pieces = []
+    for poly in polys:
+        if len(poly.vertices) < 3 or area(poly) == 0:
+            continue
+        xmin, xmax, ymin, ymax = poly.bbox()
+        for i in range(math.ceil(-xmax), math.floor(1 - xmin) + 1):
+            for j in range(math.ceil(-ymax), math.floor(1 - ymin) + 1):
+                shifted = poly.translate((F(i), F(j)))
+                sx0, sx1, sy0, sy1 = shifted.bbox()
+                if sx1 <= 0 or sx0 >= 1 or sy1 <= 0 or sy0 >= 1:
+                    continue
+                clipped = clip_many(shifted, _CELL)
+                if area(clipped) > 0:
+                    pieces.append(clipped)
+    return pieces
+
+
+def fraction_slabs(pieces, bounds=()):
+    """The slab sweep with every crossing and interval found in Fractions."""
+    xs = set(bounds)
+    for piece in pieces:
+        for v in piece.vertices:
+            xs.add(v[0])
+    boxes = [p.bbox() for p in pieces]
+    for (ia, pa), (ib, pb) in itertools.combinations(enumerate(pieces), 2):
+        ax0, ax1, ay0, ay1 = boxes[ia]
+        bx0, bx1, by0, by1 = boxes[ib]
+        if ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0:
+            continue
+        for (p, q), (r, s) in itertools.product(edges(pa.vertices), edges(pb.vertices)):
+            if max(min(p[0], q[0]), min(r[0], s[0])) > min(max(p[0], q[0]), max(r[0], s[0])):
+                continue
+            if max(min(p[1], q[1]), min(r[1], s[1])) > min(max(p[1], q[1]), max(r[1], s[1])):
+                continue
+            d1, d2 = vsub(q, p), vsub(s, r)
+            det = cross2(d1, d2)
+            if det == 0:
+                continue
+            t = cross2(vsub(r, p), d2) / det
+            ix = p[0] + t * d1[0]
+            if min(p[0], q[0]) <= ix <= max(p[0], q[0]) and min(r[0], s[0]) <= ix <= max(r[0], s[0]):
+                xs.add(ix)
+    for x0, x1 in itertools.pairwise(sorted(xs)):
+        xm = (x0 + x1) / 2
+        intervals = []
+        for piece, (px0, px1, _, _) in zip(pieces, boxes):
+            if px0 < xm < px1:
+                ys = []
+                for p, q in edges(piece.vertices):
+                    if (p[0] - xm) * (q[0] - xm) < 0:
+                        ys.append(p[1] + (xm - p[0]) / (q[0] - p[0]) * (q[1] - p[1]))
+                ys.sort()
+                intervals += [(ys[i], ys[i + 1]) for i in range(0, len(ys) - 1, 2)]
+        yield (x0, x1, *_merged_length(intervals))
+
+
+def fraction_torus_cover(polys):
+    """torus_cover's area and witness over the two Fraction routines above."""
+    pieces = fraction_wrap_into_cell(polys)
+    if not pieces:
+        return F(0), (F(1, 2), F(1, 2))
+    total, witness = F(0), None
+    for x0, x1, covered, merged in fraction_slabs(pieces, (F(0), F(1))):
+        total += (x1 - x0) * covered
+        if witness is None and covered < 1:
+            xm = (x0 + x1) / 2
+            y_prev = F(0)
+            for lo, hi in merged:
+                if lo > y_prev:
+                    witness = (xm, (y_prev + min(lo, F(1))) / 2)
+                    break
+                y_prev = max(y_prev, hi)
+            if witness is None and y_prev < 1:
+                witness = (xm, (y_prev + 1) / 2)
+    return total, witness
+
+
+SMALL_DENS = (1, 2, 3, 4, 5, 7, 8, 9)
+# primes; any two of the last three already give L > 2^40
+LARGE_DENS = (1, 2, 3, 65537, 1000003, 2097143, 4194301)
+
+
+@st.composite
+def convex_families(draw, lo=-2, hi=2):
+    """Convex pieces whose coordinates come from a few values per axis.
+
+    Few values per axis make vertical edges, shared vertices and touching
+    corners common; shared edges and collinear overlaps are built from edges
+    of earlier pieces; the large denominators push their lcm past 2^40.
+    """
+    dens = draw(st.sampled_from((SMALL_DENS, LARGE_DENS)))
+    value = st.sampled_from(dens).flatmap(
+        lambda den: st.integers(lo * den, hi * den).map(lambda k: F(k, den))
+    )
+    xs = draw(st.lists(value, min_size=2, max_size=4, unique=True))
+    ys = draw(st.lists(value, min_size=2, max_size=4, unique=True))
+    point = st.tuples(st.sampled_from(xs), st.sampled_from(ys))
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        hull = convex_hull(draw(st.lists(point, min_size=3, max_size=6)))
+        if len(hull.vertices) >= 3:
+            polys.append(hull)
+    if not polys:
+        x0, x1 = sorted(xs[:2])
+        y0, y1 = sorted(ys[:2])
+        polys.append(square((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+    for _ in range(draw(st.integers(0, 3))):
+        base = draw(st.sampled_from(polys))
+        p, q = draw(st.sampled_from(list(edges(base.vertices))))
+        d = vsub(q, p)
+        out = (d[1], -d[0])  # points away from a CCW piece
+        k = draw(st.sampled_from((F(1, 4), F(1, 2), F(1))))
+        kind = draw(st.sampled_from(("shared edge", "collinear overlap", "corner")))
+        if kind == "shared edge":
+            apex = ((p[0] + q[0]) / 2 + k * out[0], (p[1] + q[1]) / 2 + k * out[1])
+            polys.append(convex_hull([p, q, apex]))
+        elif kind == "collinear overlap":
+            a = (p[0] + d[0] / 2, p[1] + d[1] / 2)
+            b = (q[0] + d[0] / 2, q[1] + d[1] / 2)
+            polys.append(convex_hull([a, b, (a[0] + k * out[0], a[1] + k * out[1])]))
+        else:
+            other = draw(st.sampled_from(polys))
+            v = draw(st.sampled_from(other.vertices))
+            polys.append(base.translate(vsub(v, p)))
+    return polys
+
+
+def with_redundant_vertices(poly, data):
+    """The same polygon with a repeated vertex and an edge midpoint added."""
+    vs = list(poly.vertices)
+    i = data.draw(st.integers(0, len(vs) - 1))
+    vs.insert(i, vs[i])
+    j = data.draw(st.integers(0, len(vs) - 1))
+    p, q = vs[j - 1], vs[j]
+    if p != q:
+        vs.insert(j, ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2))
+    return Polygon2(tuple(vs))
+
+
+class TestIntegerSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(polys=convex_families(), data=st.data())
+    def test_slabs_match_fraction_sweep(self, polys, data):
+        if data.draw(st.booleans()):
+            # a zero-area piece with three collinear vertices
+            (x0, y0), (x1, y1) = polys[0].vertices[:2]
+            polys.append(Polygon2(((x0, y0), ((x0 + x1) / 2, (y0 + y1) / 2), (x1, y1))))
+        bounds = data.draw(st.sampled_from(((), (F(0), F(1)))))
+        assert list(_slabs(polys, bounds)) == list(fraction_slabs(polys, bounds))
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys=convex_families(-1, 1), data=st.data())
+    def test_torus_cover_matches_fraction_sweep(self, polys, data):
+        polys = [with_redundant_vertices(p, data) if data.draw(st.booleans()) else p for p in polys]
+        assert torus_cover(polys) == fraction_torus_cover(polys)
+        wrapped = [p.canonical() for p in _wrap_into_cell(polys)]
+        assert wrapped == [p.canonical() for p in fraction_wrap_into_cell(polys)]
+
+    def test_large_common_denominator(self):
+        a, b = F(1, 1000003), F(1, 2097143)
+        polys = [
+            Polygon2(((a, b), (1 - b, a), (1 - a, 1 - b))),
+            Polygon2(((b, a), (1 - a, 1 - a), (b, 1 - b))),
+        ]
+        assert math.lcm(*(c.denominator for poly in polys for v in poly.vertices for c in v)) > 2**40
+        assert list(_slabs(polys)) == list(fraction_slabs(polys))
+        assert torus_cover(polys) == fraction_torus_cover(polys)
+
+    @given(st.lists(st.tuples(*[st.integers(-4, 4).map(lambda n: F(n, 3))] * 2), min_size=4, max_size=4))
+    def test_segment_crossing(self, pts):
+        # the crossing parameter found by division, against the helper on
+        # the Fraction points and on the same points scaled to integers
+        p, q, r, s = pts
+        d1, d2, w = vsub(q, p), vsub(s, r), vsub(r, p)
+        det = cross2(d1, d2)
+        expected = None
+        if det != 0:
+            t, u = cross2(w, d2) / det, cross2(w, d1) / det
+            if 0 <= t <= 1 and 0 <= u <= 1:
+                expected = t
+        for points in (pts, [tuple(int(3 * c) for c in v) for v in pts]):
+            hit = segment_crossing(*points)
+            if expected is None:
+                assert hit is None
+            else:
+                num, den = hit
+                assert den > 0 and F(num) / den == expected
