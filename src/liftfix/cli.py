@@ -194,7 +194,7 @@ def _cmd_type3_mixing_verify(inst, args):
         raise DomainViolation("type3 mixing-verify needs a type3-mixing instance")
     tri = inst.triangle
     split = split_cover_certify(tri.b)
-    oracle = check_sfree(pyramid(tri).body, tri.lattice.with_tail(1))
+    oracle = check_sfree(split.body, tri.lattice.with_tail(1))
     return {
         "b": vec_str(tri.b),
         "delta_b": rat_str(tri.mixing_delta),

@@ -8,11 +8,12 @@ higher-dimensional polyhedron is the same call after fixing its last
 coordinate.
 
 Everything is exact rational arithmetic: vertex enumeration, halfplane
-clipping, shoelace areas, and unions in the plane and on the unit torus (one
-exact slab sweep, run on integer coordinates scaled by one common
-denominator and returning exact Fractions).  Lower-dimensional intersections
-(segments, points) are ordinary polygons with area 0, not special cases.
-All values are immutable and all functions are deterministic.
+clipping, shoelace areas, and unions in the plane and on the unit torus (the
+wrap into the cell and one exact slab sweep, both run on integer coordinates
+scaled by one common denominator and returning exact Fractions).
+Lower-dimensional intersections (segments, points) are ordinary polygons
+with area 0, not special cases.  All values are immutable and all functions
+are deterministic.
 """
 
 from __future__ import annotations
@@ -382,33 +383,57 @@ def slice_polygon(rows, t) -> Polygon2:
 # Unions: exact slab sweep in the plane and on the unit torus
 # ---------------------------------------------------------------------------
 
-# The fundamental cell [0,1]^2 as halfplanes a.x <= c.
-_CELL = (((ONE, ZERO), ONE), ((-ONE, ZERO), ZERO), ((ZERO, ONE), ONE), ((ZERO, -ONE), ZERO))
+def _clip_side(ring, axis: int, side: int, c: int):
+    """A ring clipped to side * v[axis] <= side * c, as `clip` would do it.
+
+    A crossing keeps c as its `axis` coordinate and gets the other as one
+    Fraction.  A ring left with fewer than three vertices has no area: ().
+    """
+    out = []
+    prev = ring[-1]
+    for cur in ring:
+        inside = side * cur[axis] <= side * c
+        if inside != (side * prev[axis] <= side * c):
+            den, o = cur[axis] - prev[axis], 1 - axis
+            v = Fraction(prev[o] * den + (c - prev[axis]) * (cur[o] - prev[o]), den)
+            out.append((c, v) if axis == 0 else (v, c))
+        if inside:
+            out.append(cur)
+        prev = cur
+    ring = _canon_ring(out)
+    return ring if len(ring) > 2 else ()
 
 
 def _wrap_into_cell(polys):
     """Clip every integer translate of every polygon against [0,1]^2.
 
-    Each ring is canonicalized once; translates of it stay canonical, and a
-    clip against a cell side that a translate does not cross would return it
-    unchanged, so only the crossed sides are clipped.
+    The rings are scaled once by the common denominator L of their
+    vertices, so a translate moves by multiples of L in plain ints and the
+    cell is [0, L]^2.  Each ring is canonicalized once; translates of it stay
+    canonical, and only the cell sides a translate crosses are clipped.  A
+    piece with a positive shoelace sum comes back divided by L.
     """
+    rings = [p.vertices for p in polys if len(p.vertices) >= 3]
+    L = math.lcm(*(c.denominator for vs in rings for v in vs for c in v))
+    halves = ((0, 1, L), (0, -1, 0), (1, 1, L), (1, -1, 0))  # x <= L, x >= 0, y <= L, y >= 0
     pieces = []
-    for poly in polys:
-        if len(poly.vertices) < 3 or area(poly) == 0:
+    for vs in rings:
+        ring = [(x.numerator * (L // x.denominator), y.numerator * (L // y.denominator))
+                for x, y in vs]
+        if sum(cross2(a, b) for a, b in edges(ring)) == 0:
             continue
-        poly = Polygon2(_canon_ring(poly.vertices))
-        xmin, xmax, ymin, ymax = poly.bbox()
-        for i in range(math.ceil(-xmax), math.floor(1 - xmin) + 1):
-            for j in range(math.ceil(-ymax), math.floor(1 - ymin) + 1):
-                shifted = poly.translate((Fraction(i), Fraction(j)))
-                sx0, sx1, sy0, sy1 = shifted.bbox()
-                if sx1 <= 0 or sx0 >= 1 or sy1 <= 0 or sy0 >= 1:
-                    continue
-                crossed = (sx1 > 1, sx0 < 0, sy1 > 1, sy0 < 0)
-                clipped = clip_many(shifted, itertools.compress(_CELL, crossed))
-                if area(clipped) > 0:
-                    pieces.append(clipped)
+        ring = _canon_ring(ring)
+        xmin, xmax, ymin, ymax = Polygon2(ring).bbox()
+        for i, j in itertools.product(range(-(xmax // L), (L - xmin) // L + 1),
+                                      range(-(ymax // L), (L - ymin) // L + 1)):
+            sx0, sx1, sy0, sy1 = xmin + i * L, xmax + i * L, ymin + j * L, ymax + j * L
+            if sx1 <= 0 or sx0 >= L or sy1 <= 0 or sy0 >= L:
+                continue
+            shifted = tuple((x + i * L, y + j * L) for x, y in ring)
+            for half in itertools.compress(halves, (sx1 > L, sx0 < 0, sy1 > L, sy0 < 0)):
+                shifted = shifted and _clip_side(shifted, *half)
+            if shifted and sum(cross2(a, b) for a, b in edges(shifted)) > 0:
+                pieces.append(Polygon2(tuple((Fraction(x, L), Fraction(y, L)) for x, y in shifted)))
     return pieces
 
 

@@ -2,10 +2,11 @@
 
 The spindle of a point x (for a chosen maximizing row k of the gauge) is the
 centrally symmetric polytope pinched between 0 and x on which lifting
-coefficients are forced.  Collecting the spindles of every boundary witness
-of the certifying cone, shifted 0..height times by pstar, yields a finite
-polygon family whose union modulo Z^2 inner-approximates the fixing region;
-exact torus area 1 certifies that one lifting coefficient fixes them all.
+coefficients are forced; a triangle's is a closed-form parallelogram.
+Collecting the spindles of every boundary witness of the certifying cone,
+shifted 0..height times by pstar, yields a finite polygon family whose union
+modulo Z^2 inner-approximates the fixing region; exact torus area 1
+certifies that one lifting coefficient fixes them all.
 
 Translation machinery: an affine transport map carries each piece of the
 approximation for B onto the matching piece for B + m, which is how
@@ -25,8 +26,10 @@ from .errors import (
     PreconditionViolated,
 )
 from .exactgeo import (
+    ZERO,
     HPoly,
     Polygon2,
+    _ccw_sorted,
     slice_polygon,
     torus_cover,
     vertices_from_rows,
@@ -48,22 +51,42 @@ class Spindle:
 
 
 def spindle(base_rows, x: Vec, k: int) -> Spindle:
-    """Spindle of x for maximizing row k; NotArgmax if row k does not attain psi(x)."""
+    """Spindle of x for maximizing row k; NotArgmax if row k does not attain psi(x).
+
+    A triangle's spindle is a closed-form parallelogram (`_triangle_spindle`).
+    """
     rows = tuple(tuple(rat(c) for c in a) for a in base_rows)
     vals = [dot(a, x) for a in rows]
     if vals[k] < max(vals):
         raise NotArgmax(f"row {k} gives {vals[k]}, max is {max(vals)}")
-    ext = []
-    for i, a in enumerate(rows):
-        if i == k:
-            continue
-        d = vsub(a, rows[k])
-        ext.append((d, Fraction(0)))
-        ext.append((tuple(-c for c in d), -dot(d, x)))
+    strips = [(vsub(a, rows[k]), vals[i] - vals[k]) for i, a in enumerate(rows) if i != k]
+    ext = tuple(r for d, dx in strips for r in ((d, Fraction(0)), (tuple(-c for c in d), -dx)))
     poly = None
     if len(x) == 2:
-        poly = vertices_from_rows(ext)
-    return Spindle(tuple(ext), poly)
+        poly = _triangle_spindle(strips, x) or vertices_from_rows(ext)
+    return Spindle(ext, poly)
+
+
+def _triangle_spindle(strips, x: Vec) -> Polygon2 | None:
+    """The polygon of two strips d.x <= d.r <= 0, given as (d, d.x), or None.
+
+    For independent d_i, d_j it is the parallelogram 0, x, u, x - u with
+    d_i.u = 0 and d_j.u = d_j.x; it collapses to the segment [0, x] when
+    d_i.x or d_j.x is 0, and to a point at x = 0.  Other strip families
+    give None.
+    """
+    if len(strips) != 2:
+        return None
+    ((d1, d2), dx), ((e1, e2), ex) = strips
+    det = d1 * e2 - d2 * e1
+    if det == 0:
+        return None
+    if x[0] == 0 and x[1] == 0:
+        return Polygon2(((ZERO, ZERO),))
+    if dx == 0 or ex == 0:
+        return Polygon2(tuple(sorted(((ZERO, ZERO), x))))
+    u = (-d2 * ex / det, d1 * ex / det)
+    return Polygon2(_ccw_sorted(((ZERO, ZERO), x, u, (x[0] - u[0], x[1] - u[1]))))
 
 
 def slice_property_check(g: Gauge, cert: LiftCert, pair, t) -> bool:

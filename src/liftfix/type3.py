@@ -244,6 +244,7 @@ class SplitCoverCert:
     residuals: tuple  # per height: exact leftover area outside the three splits
     free: bool
     apex: Vec
+    body: HPoly  # the pyramid whose slices were covered
 
 
 def split_cover_certify(b) -> SplitCoverCert:
@@ -273,7 +274,7 @@ def split_cover_certify(b) -> SplitCoverCert:
         heights.append(k)
         residuals.append(residual)
     free = all(r == 0 for r in residuals)
-    return SplitCoverCert(tuple(heights), tuple(residuals), free, pyr.apex)
+    return SplitCoverCert(tuple(heights), tuple(residuals), free, pyr.apex, pyr.body)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from liftfix.errors import UnboundedRegion
 from liftfix.exactgeo import (
-    _CELL,
     HPoly,
     Polygon2,
     _merged_length,
@@ -389,6 +388,10 @@ class TestTorusUnion:
 # ---------------------------------------------------------------------------
 
 
+# The fundamental cell [0,1]^2 as halfplanes a.x <= c.
+_CELL = (((ONE, ZERO), ONE), ((-ONE, ZERO), ZERO), ((ZERO, ONE), ONE), ((ZERO, -ONE), ZERO))
+
+
 def fraction_wrap_into_cell(polys):
     """The torus wrap clipping every translate against all four cell sides."""
     pieces = []
@@ -546,6 +549,16 @@ class TestIntegerSweep:
     def test_torus_cover_matches_fraction_sweep(self, polys, data):
         polys = [with_redundant_vertices(p, data) if data.draw(st.booleans()) else p for p in polys]
         assert torus_cover(polys) == fraction_torus_cover(polys)
+        wrapped = [p.canonical() for p in _wrap_into_cell(polys)]
+        assert wrapped == [p.canonical() for p in fraction_wrap_into_cell(polys)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys=convex_families(-1, 1))
+    # a translate that crosses the right and top sides at the corner (1, 1)
+    @example(polys=[convex_hull([(F(1, 2), F(3, 4)), (F(3, 2), F(1)), (F(3, 4), F(3, 2))])])
+    # a translate that crosses the left side with two vertices on it
+    @example(polys=[square((F(-1, 2), F(1, 2)), (F(0), F(1, 4)), (F(1, 2), F(1, 2)), (F(0), F(3, 4)))])
+    def test_wrap_matches_fraction_wrap(self, polys):
         wrapped = [p.canonical() for p in _wrap_into_cell(polys)]
         assert wrapped == [p.canonical() for p in fraction_wrap_into_cell(polys)]
 

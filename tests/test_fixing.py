@@ -1,13 +1,17 @@
 """Spindles, fixing-region pieces, covering certificates, and transport."""
 
+import json
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import random_valid_triangle
+from liftfix.cli import main
 from liftfix.errors import NotArgmax, OriginNotInterior, PreconditionViolated
-from liftfix.exactgeo import HPoly, Polygon2, convex_intersection
+from liftfix.exactgeo import HPoly, Polygon2, convex_intersection, vertices_from_rows
 from liftfix.fixing import (
     FixApprox,
     Piece,
@@ -81,6 +85,79 @@ class TestSpindle:
         assert facets == {1, 2}
 
 
+@st.composite
+def triangle_anchors(draw):
+    """A random valid triangle's rows and an anchor x, drawn one of three ways.
+
+    "generic" is any small rational point; "tie" lies on the ray where two
+    rows attain psi together, so the spindle is a segment; "origin" is 0.
+    """
+    rows = random_valid_triangle(random.Random(draw(st.integers(0, 2**32)))).body.rows
+    kind = draw(st.sampled_from(("generic", "tie", "origin")))
+    den = draw(st.integers(1, 12))
+    coord = st.integers(-3 * den, 3 * den).map(lambda n: F(n, den))
+    if kind == "origin":
+        return rows, (F(0), F(0))
+    if kind == "generic":
+        return rows, (draw(coord), draw(coord))
+    k, i = draw(st.permutations(range(3)))[:2]
+    d = vsub(rows[k], rows[i])
+    t = F(draw(st.integers(1, 3 * den)), den)
+    for x in ((-d[1] * t, d[0] * t), (d[1] * t, -d[0] * t)):
+        if dot(rows[k], x) == max(dot(a, x) for a in rows):
+            return rows, x
+    raise AssertionError("neither direction of a tie line is on the body's boundary")
+
+
+class TestClosedFormSpindle:
+    @settings(max_examples=150, deadline=None)
+    @given(triangle_anchors())
+    def test_matches_vertex_enumeration(self, drawn):
+        rows, x = drawn
+        vals = [dot(a, x) for a in rows]
+        for k in (i for i, v in enumerate(vals) if v == max(vals)):
+            sp = spindle(rows, x, k)
+            assert sp.polygon == vertices_from_rows(sp.rows)
+
+    def test_every_b1_anchor(self, g, cert):
+        for x, k in boundary_pairs(g, cert):
+            anchor = vsub(x, vscale(k, cert.pstar))
+            for f in psi_eval(g, anchor).argmax:
+                sp = spindle(g.body.rows, anchor, f)
+                assert sp.polygon == vertices_from_rows(sp.rows)
+
+
+# |x| + |y| <= 1 over (1/2, 1/2) + Z^2: four rows, so its spindles take the
+# generic vertex enumeration
+DIAMOND = {
+    "body": {"type": "rows", "rows": [["1", "1"], ["1", "-1"], ["-1", "1"], ["-1", "-1"]]},
+    "lattice": {"dim": 2, "shift": ["1/2", "1/2"]},
+    "pstar": ["1/4", "1/8"],
+}
+
+
+def test_diamond_four_row_spindles(tmp_path):
+    path = tmp_path / "diamond.json"
+    path.write_text(json.dumps(DIAMOND), encoding="utf-8")
+    reports = {}
+    for command in ("region", "cover"):
+        out = tmp_path / f"{command}.json"
+        assert main(["fix", command, "--instance", str(path), "--out", str(out)]) == 0
+        reports[command] = json.loads(out.read_bytes())["certificate"]
+    assert reports["region"]["value"] == "3/8"
+    assert len(reports["region"]["pieces"]) == 12
+    assert reports["cover"]["covered_area"] == "1" and reports["cover"]["is_full"]
+
+    g = Gauge(HPoly.from_rows([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+              Lattice(2, (F(1, 2), F(1, 2))))
+    approx = fix_approx(g, v_psi(g, (F(1, 4), F(1, 8))))
+    assert len(approx.pieces) == 12
+    for p in approx.pieces:
+        x, k = p.pair
+        sp = spindle(g.body.rows, vsub(x, vscale(k, approx.pstar)), p.facet)
+        assert p.polygon == vertices_from_rows(sp.rows).translate(vscale(p.shift, approx.pstar))
+
+
 class TestSliceProperty:
     def test_all_pairs_all_heights(self, g, cert):
         for pair in cert.blocking:
@@ -88,7 +165,7 @@ class TestSliceProperty:
                 assert slice_property_check(g, cert, pair, t)
 
     def test_random_instances(self):
-        from conftest import random_rational_point, random_valid_triangle
+        from conftest import random_rational_point
         from liftfix.errors import NoPositiveValueWithinBudget
         from liftfix.gauge import Budget
 
