@@ -16,7 +16,7 @@ import time
 
 from . import __version__
 from .errors import DomainViolation, LiftfixError
-from .exactgeo import Polygon2, convex_hull
+from .exactgeo import Polygon2
 from .fixing import cover_certify, fix_approx, translate_instance
 from .gauge import check_sfree, psi_eval, v_psi, v_seq, phi_eval, psi_star_eval
 from .rational import rat, rat_str, vec_str
@@ -32,7 +32,7 @@ from .serialize import (
     seqcert_to_json,
 )
 from .svg import render_svg
-from .type3 import claim_check, figure_points, pyramid, split_cover_certify, tilt
+from .type3 import claim_check, figure_points, k_region, pyramid, split_cover_certify, tilt
 
 
 def _parse_rat(text: str):
@@ -246,13 +246,12 @@ def _cmd_type3_figure(inst, args):
         raise DomainViolation("type3 figure needs a type3 instance")
     pts = figure_points(inst.triangle)
     payload = {"points": {name: vec_str(p) for name, p in sorted(pts.items())}}
-    k_poly = convex_hull([pts[n] for n in ("c2", "k", "j", "i", "g", "e1")])
     tri_poly = Polygon2(inst.triangle.vertices)
     svg_payload = {
         "kind": "figure",
         "body": polygon_to_json(tri_poly),
         "points": {name: vec_str(p) for name, p in sorted(pts.items())},
-        "k_region": polygon_to_json(k_poly),
+        "k_region": polygon_to_json(k_region(pts)),
         "pieces": [],
     }
     return payload, svg_payload

@@ -272,7 +272,7 @@ def v_seq(g: Gauge, p1: Vec, p2: Vec, v1, budget: Budget = Budget()) -> SeqLiftC
 
     Searches the double-height candidate set: a boundary point (x, k1, k2)
     of the twice-lifted cone gives (1 - k1*v1 - psi(x - k1 p1 - k2 p2)) / k2.
-    The k2 = 1..cap, k1 = 0..cap windows close exactly once the running best
+    The k2 = 1..cap, k1 = 1..cap windows close exactly once the running best
     is positive, with psi's floors along p1 and p2 as in v_psi.  The value
     is verified free-and-tight on the twice-lifted cone.
     """
@@ -283,26 +283,22 @@ def v_seq(g: Gauge, p1: Vec, p2: Vec, v1, budget: Budget = Budget()) -> SeqLiftC
     rate1, floor2 = v1 + _psi_floor(g, p1), _psi_floor(g, p2)
     if rate1 <= 0:
         raise UnboundedRegion(f"lifted cone along {p1} never closes at lambda {v1}")
-    # positive seed: k1 = 0 candidates are exactly the lifting candidates of p2
-    seed = v_psi(g, p2, budget)
-    best = seed.value
-    improved = True
-    while improved:
-        improved = False
-        k2 = 1
-        while k2 <= math.ceil(1 / (best + floor2)):
-            k1 = 0
-            # while level reaches psi's floor on the slice, k1*floor(p1) + k2*floor(p2)
-            while k1 * rate1 <= 1 - k2 * (best + floor2):
-                level = 1 - k1 * v1 - k2 * best
-                center = vadd(vscale(k1, p1), vscale(k2, p2))
-                for x in _sublevel_points(g, center, level):
-                    val = (1 - k1 * v1 - psi(g, vsub(x, center))) / k2
-                    if val > best:
-                        best = val
-                        improved = True
-                k1 += 1
-            k2 += 1
+    # positive seed: k1 = 0 candidates are exactly the lifting candidates of
+    # p2, so the seed is their exact maximum and the scan starts at k1 = 1.
+    # A better candidate only shrinks the windows still to come, so one pass
+    # with the running best sees every candidate above the final value.
+    best = v_psi(g, p2, budget).value
+    k2 = 1
+    while k2 <= math.ceil(1 / (best + floor2)):
+        k1 = 1
+        # while level reaches psi's floor on the slice, k1*floor(p1) + k2*floor(p2)
+        while k1 * rate1 <= 1 - k2 * (best + floor2):
+            level = 1 - k1 * v1 - k2 * best
+            center = vadd(vscale(k1, p1), vscale(k2, p2))
+            for x in _sublevel_points(g, center, level):
+                best = max(best, (1 - k1 * v1 - psi(g, vsub(x, center))) / k2)
+            k1 += 1
+        k2 += 1
 
     # the twice-lifted cone is one more polyhedron, free of S x Z_+^2
     rows = tuple(a + (v1 - dot(a, p1), best - dot(a, p2)) for a in g.body.rows)

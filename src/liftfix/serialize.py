@@ -39,14 +39,16 @@ def lattice_to_json(lat: Lattice) -> dict:
 
 
 def lattice_from_json(obj) -> Lattice:
-    dim = int(obj["dim"])
-    if dim not in (2, 3):
-        raise DomainViolation(f"lattice dim must be 2 or 3, got {dim}")
+    dim, tail = obj["dim"], obj.get("tail", 0)
+    if type(dim) is not int or dim not in (2, 3):
+        raise DomainViolation(f"lattice dim must be 2 or 3, got {dim!r}")
+    if type(tail) is not int:
+        raise DomainViolation(f"lattice tail must be an integer, got {tail!r}")
     trunc = obj.get("truncation")
     return Lattice(
         dim=dim,
         shift=parse_vec(obj["shift"]),
-        tail=int(obj.get("tail", 0)),
+        tail=tail,
         truncation=None
         if trunc is None
         else tuple((parse_vec(a), rat(c)) for a, c in trunc),

@@ -39,7 +39,6 @@ from .exactgeo import (
     area,
     clip_many,
     convex_hull,
-    convex_intersection,
     edges,
     segment_crossing,
     slice_polygon,
@@ -357,6 +356,11 @@ def figure_points(tri: Type3Triangle) -> dict:
     }
 
 
+def k_region(pts: dict) -> Polygon2:
+    """The K region of the covering construction, from `figure_points`."""
+    return convex_hull([pts[n] for n in ("c2", "k", "j", "i", "g", "e1")])
+
+
 @dataclass(frozen=True)
 class ClaimReport:
     cases: tuple  # per case: (name, vertex name, products tuple)
@@ -372,7 +376,10 @@ def claim_check(tri: Type3Triangle, pstar: Vec) -> ClaimReport:
     The undefined corner v0 of the three inner pieces is taken to be pstar
     (the only reading that closes the decomposition; flagged in the report).
     Raises ClaimViolated naming the vertex and inequality on any positive
-    inner product.
+    inner product.  The pieces tile K when one exact sweep gives
+    union_area(pieces) == sum of their areas == area(K): closed convex
+    pieces have a union of area their sum exactly when no two overlap in
+    area, so pieces that share an edge or a vertex still pass.
     """
     pts = figure_points(tri)
     b1, b2 = tri.b
@@ -393,7 +400,6 @@ def claim_check(tri: Type3Triangle, pstar: Vec) -> ClaimReport:
         ("K5 in R(s6-2p*)+p*", ("l", "v0", "m", "u0"), sp6, pstar),
     )
     report = []
-    passed = True
     named = dict(pts)
     named["v0"] = v0
     for case_name, vert_names, sp, shift in cases:
@@ -408,24 +414,15 @@ def claim_check(tri: Type3Triangle, pstar: Vec) -> ClaimReport:
                         f"{case_name}: vertex {vn} violates inequality {idx} by {val}"
                     )
 
-    area_parts = []
-    polys = []
-    for _, vert_names, _, _ in cases:
-        poly = convex_hull([named[vn] for vn in vert_names])
-        polys.append(poly)
-        area_parts.append(area(poly))
-    k_poly = convex_hull([named[n] for n in ("c2", "k", "j", "i", "g", "e1")])
-    overlaps_zero = True
-    for pa, pb in itertools.combinations(polys, 2):
-        if area(convex_intersection(pa, pb)) != 0:
-            overlaps_zero = False
-    area_ok = area(k_poly) == sum(area_parts, ZERO)
-    passed = overlaps_zero and area_ok
+    parts = [convex_hull([named[vn] for vn in vert_names]) for _, vert_names, _, _ in cases]
+    area_parts = tuple(area(poly) for poly in parts)
+    area_k = area(k_region(pts))
+    passed = union_area(parts) == sum(area_parts, ZERO) == area_k
     if not passed:
         raise ClaimViolated("K-region decomposition does not close up")
     return ClaimReport(
         tuple(report), passed, "v0 := pstar (undefined in the source table)",
-        area(k_poly), tuple(area_parts),
+        area_k, area_parts,
     )
 
 
@@ -637,8 +634,12 @@ class FixedBall:
 
 
 def _covered_by_union(square: Polygon2, pieces) -> bool:
-    """area(square \\ union of convex pieces) == 0, by the exact sweep."""
-    return union_area([convex_intersection(square, p) for p in pieces]) == area(square)
+    """The square lies in the closed union of convex pieces, by the exact sweep.
+
+    A square with interior lies in a closed union exactly when adding it to
+    the union adds no area.
+    """
+    return union_area([square, *pieces]) == union_area(pieces)
 
 
 def fixed_ball(tri: Type3Triangle, beta, budget: Budget = Budget()) -> FixedBall:

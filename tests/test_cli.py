@@ -237,11 +237,16 @@ class TestExitCodes:
             (json.dumps({**MIXING, "budgets": budgets}), "DomainViolation")
             for budgets in ({"n_max": 0}, {"window_radius": -3}, {"n_max": 3.5},
                             {"window_radius": "12"})
+        ] + [
+            (json.dumps({**TRIANGLE, "pstar": ["7/8", "-1/2"],
+                         "lattice": {**TRIANGLE["lattice"], **field}}), "DomainViolation")
+            for field in ({"dim": 2.5}, {"tail": 0.9}, {"dim": True})
         ],
         ids=["not-json", "rows-without-lattice", "bad-rational", "rows-1d-lattice",
              "truncation-short-row", "truncation-bare-row", "truncation-long-row",
              "budget-n-zero", "budget-window-negative", "budget-n-fraction",
-             "budget-window-string"],
+             "budget-window-string", "lattice-dim-fraction", "lattice-tail-fraction",
+             "lattice-dim-bool"],
     )
     def test_malformed_instance_exits_two(self, text, kind, tmp_path, capsys):
         path = tmp_path / "malformed.json"
@@ -344,7 +349,7 @@ class TestThreeDimensionalRows:
         assert err["type"] == "DimensionMismatch"
         assert "2-D body" in err["message"]
 
-    @pytest.mark.parametrize("dim", [1, 4])
+    @pytest.mark.parametrize("dim", [1, 4, True])
     def test_unsupported_lattice_dim_exits_two(self, dim, tmp_path, capsys):
         inst = {
             "body": {"type": "rows", "rows": [["2"] + ["0"] * (dim - 1), ["-2"] + ["0"] * (dim - 1)]},

@@ -591,3 +591,51 @@ class TestIntegerSweep:
             else:
                 num, den = hit
                 assert den > 0 and F(num) / den == expected
+
+
+# two triangles of the unit square, sharing its diagonal
+LOWER = Polygon2(((F(0), F(0)), (F(1), F(0)), (F(0), F(1))))
+UPPER = Polygon2(((F(1), F(0)), (F(1), F(1)), (F(0), F(1))))
+
+
+def box(x0, y0, x1, y1):
+    return square((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+
+
+@st.composite
+def families_with_box(draw):
+    """Convex pieces and an axis-parallel square around a piece's vertex centroid.
+
+    Small half-sides mostly land inside one piece, large ones mostly stick
+    out, and the rest touch or cross piece boundaries.
+    """
+    polys = draw(convex_families())
+    vs = draw(st.sampled_from(polys)).vertices
+    cx, cy = sum(v[0] for v in vs) / len(vs), sum(v[1] for v in vs) / len(vs)
+    r = draw(st.sampled_from((F(1, 64), F(1, 8), F(1, 4), F(1, 2), F(1))))
+    return polys, box(cx - r, cy - r, cx + r, cy + r)
+
+
+class TestAreaIdentities:
+    """The two union-area identities that `type3` certifies with."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(polys=convex_families())
+    @example(polys=[LOWER, UPPER])  # a shared edge
+    @example(polys=[LOWER, LOWER.translate((F(1), F(0)))])  # a shared vertex
+    @example(polys=[LOWER, UPPER.translate((F(-1, 2), F(0)))])  # an overlap
+    def test_union_is_the_sum_iff_no_two_overlap(self, polys):
+        disjoint = all(area(convex_intersection(a, b)) == 0
+                       for a, b in itertools.combinations(polys, 2))
+        assert (union_area(polys) == sum(map(area, polys), F(0))) == disjoint
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=families_with_box())
+    # inside the union, touching its boundary and crossing the shared diagonal
+    @example(case=([LOWER, UPPER], box(F(0), F(0), F(1, 2), F(1, 2))))
+    # crossing the union's boundary
+    @example(case=([LOWER, UPPER], box(F(1, 2), F(1, 4), F(3, 2), F(3, 4))))
+    def test_square_adds_no_area_iff_covered(self, case):
+        polys, sq = case
+        covered = union_area([convex_intersection(sq, p) for p in polys]) == area(sq)
+        assert (union_area([sq, *polys]) == union_area(polys)) == covered
