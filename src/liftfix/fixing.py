@@ -29,7 +29,6 @@ from .exactgeo import (
     ZERO,
     HPoly,
     Polygon2,
-    _ccw_sorted,
     slice_polygon,
     torus_cover,
     vertices_from_rows,
@@ -86,7 +85,12 @@ def _triangle_spindle(strips, x: Vec) -> Polygon2 | None:
     if dx == 0 or ex == 0:
         return Polygon2(tuple(sorted(((ZERO, ZERO), x))))
     u = (-d2 * ex / det, d1 * ex / det)
-    return Polygon2(_ccw_sorted(((ZERO, ZERO), x, u, (x[0] - u[0], x[1] - u[1]))))
+    v = (x[0] - u[0], x[1] - u[1])
+    # diagonals 0-x and u-v; start as `_ccw_sorted` does, at the least angle about x/2
+    ring = ((ZERO, ZERO), u, x, v) if u[0] * x[1] > u[1] * x[0] else ((ZERO, ZERO), v, x, u)
+    upper = [(2 * p[1] - x[1], 2 * p[0] - x[0]) > (0, 0) for p in ring]
+    s = next(i for i in range(4) if upper[i] and not upper[i - 1])
+    return Polygon2(ring[s:] + ring[:s])
 
 
 def slice_property_check(g: Gauge, cert: LiftCert, pair, t) -> bool:

@@ -37,7 +37,7 @@ from .errors import (
     UnboundedRegion,
 )
 from .exactgeo import HPoly, Polygon2, fm_upper_bound, vertices_from_rows
-from .lattice import Lattice, _points, _scan, points_in
+from .lattice import Lattice, _integer_row, _points, _scan, points_in
 from .rational import Vec, dot, rat, vadd, vscale, vsub
 
 
@@ -114,18 +114,23 @@ def check_sfree(body: HPoly, lat: Lattice) -> FreeCert:
 
     Boundary points are binned per facet; an interior point (all rows
     strict) makes the certificate negative with a lexicographic witness.
+    Rows are tested in integers: T*x is integral on S = s/T + Z^n, and a.x
+    against 1 is A.(T*x) against m*T for the integer row A = m*a.
     """
     pts = points_in(lat, body, strict=False)
+    T, _ = _integer_row(lat.shift)
+    rows = [(A, m * T) for m, A in map(_integer_row, body.rows)]
     hits = [[] for _ in body.rows]
     witness = None
     for x in pts:
-        vals = [dot(a, x) for a in body.rows]
-        if all(v < 1 for v in vals):
+        z = [c.numerator * (T // c.denominator) for c in x]
+        vals = [sum([u * v for u, v in zip(A, z)]) - mT for A, mT in rows]
+        if all(v < 0 for v in vals):
             if witness is None:
                 witness = x
         else:
             for i, v in enumerate(vals):
-                if v == 1:
+                if v == 0:
                     hits[i].append(x)
     return FreeCert(witness is None, witness, tuple(tuple(h) for h in hits))
 

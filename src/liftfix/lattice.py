@@ -4,7 +4,8 @@ A tail of k appended coordinates models product sets S x Z_+^k, which is
 where lifted cones live.  A truncation by a rational polyhedron cuts S
 down; the translation group of a truncated lattice is not computed, so
 the caller must declare it.  This module alone decides membership in S:
-every scan of S elsewhere goes through `points_in` or its core `_points`.
+scans of S elsewhere go through `points_in` or its core `_points`, and
+`type3`'s tilt stages scan heights over S with `_columns` directly.
 
 Lattice points inside a polyhedral region are enumerated by one exact
 integer scanline in any dimension: every row is scaled once to integer
@@ -121,6 +122,12 @@ def translation_group(lat: Lattice) -> TranslationGroup:
     )
 
 
+def _integer_row(v):
+    """(m, m*v) for the least positive integer m that makes m*v integral."""
+    m = math.lcm(*[c.denominator for c in v])
+    return m, [c.numerator * (m // c.denominator) for c in v]
+
+
 def _columns(shift, rows, strict_rows=()):
     """Exact integer scanline over the points shift + z, z in Z^n, of a region.
 
@@ -136,14 +143,12 @@ def _columns(shift, rows, strict_rows=()):
     that is not empty on its first coordinate and leaves some coordinate
     unbounded raises UnboundedRegion.
     """
-    T = math.lcm(*[b.denominator for b in shift])  # shift = s/T
-    s = [b.numerator * (T // b.denominator) for b in shift]
+    T, s = _integer_row(shift)  # shift = s/T
     level = []  # (A, C) meaning A.z <= C
     for strict, group in ((0, rows), (1, strict_rows)):
         for a, c in group:
-            m = math.lcm(c.denominator, *[x.denominator for x in a])
-            A = [x.numerator * (m // x.denominator) for x in a]
-            X = c.numerator * (m // c.denominator) * T - sum([u * v for u, v in zip(A, s)])
+            _, (*A, mc) = _integer_row((*a, c))
+            X = mc * T - sum([u * v for u, v in zip(A, s)])
             level.append((A, (X - strict) // T))
     levels = [level]
     recedes = False

@@ -46,7 +46,7 @@ from .exactgeo import (
 )
 from .fixing import CoverCert, FixApprox, cover_certify, fix_approx, spindle
 from .gauge import Budget, Gauge, LiftCert, check_sfree, lifting_cone, v_psi
-from .lattice import Lattice, _columns
+from .lattice import Lattice, _columns, _integer_row
 from .rational import Vec, dot, rat, vadd, vscale, vsub
 
 ZERO = Fraction(0)
@@ -485,10 +485,11 @@ def tilt_beta_bound(tri: Type3Triangle) -> Fraction:
 def _stage_binding(tri, beta, alphas, f, margin, k_window):
     """Smallest threshold at which a lattice point enters through facet f.
 
-    Scans heights k = 1..k_window for points x of S with threshold
-    tau = (1 - w_f.x)/k within `margin` below facet f's current coefficient,
-    strictly inside the other two facets.  Returns (alpha, (x, y, k)) for
-    the smallest alpha and its lexicographically first point, or None.
+    One integer scan over (k, x, y), heights k = 1..k_window and x in S,
+    finds the points whose threshold tau = (1 - w_f.x)/k is at most facet
+    f's current coefficient and within `margin` below it, strictly inside
+    the other two facets.  Returns (alpha, (x, y, k)) for the smallest alpha
+    and its lexicographically first point, or None.
     """
     # One point per column suffices.  Each facet's threshold map is strictly
     # decreasing on its domain of tau, with alpha < 1 throughout:
@@ -502,31 +503,30 @@ def _stage_binding(tri, beta, alphas, f, margin, k_window):
     # j-range, and the smallest alpha is the largest tau.  tau is linear in
     # j, so a column's largest tau is at the low end of its range when w_f's
     # second coordinate is >= 0 (on ties, the lexicographically first
-    # point) and at the high end otherwise.
+    # point) and at the high end otherwise.  For w_f = W/m and b = s/T, num
+    # below is the integer -tau*m*T*k, so candidates compare as num1*k2 to num2*k1.
     wf = tri.body.rows[f]
     coeffs = [_tilt_coeff(tri, beta, g, alphas[g]) for g in range(3)]
     c_cur = coeffs[f]
-    tau_min = c_cur - margin
-    positive = f == 2 and tau_min <= 0
-    if positive:
-        tau_min = ZERO
-    others = [(tri.body.rows[g], coeffs[g]) for g in range(3) if g != f]
-    b1, b2 = tri.b
-    best = None  # (-tau, point)
-    for k in range(1, k_window + 1):
-        closed = [((-wf[0], -wf[1]), c_cur * k - 1)]  # tau <= c_cur
-        strict = [(w, 1 - c * k) for w, c in others]
-        (strict if positive else closed).append((wf, 1 - tau_min * k))
-        for (i,), jlo, jhi in _columns(tri.b, closed, strict):
-            x = (b1 + i, b2 + (jhi if wf[1] < 0 else jlo))
-            cand = ((dot(wf, x) - 1) / k, (x[0], x[1], Fraction(k)))
-            if best is None or cand < best:
-                best = cand
+    positive = f == 2 and c_cur <= margin
+    tau_min = ZERO if positive else c_cur - margin
+    closed = [((-c_cur, -wf[0], -wf[1]), -1), ((-1, 0, 0), -1), ((1, 0, 0), k_window)]
+    strict = [((coeffs[g],) + tri.body.rows[g], 1) for g in range(3) if g != f]
+    (strict if positive else closed).append(((tau_min,) + wf, 1))
+    (m, (W0, W1)), (T, (s0, s1)) = _integer_row(wf), _integer_row(tri.b)
+    base = W0 * s0 + W1 * s1 - m * T
+    best = None  # (num, k, (i, j, k))
+    for (k, i), jlo, jhi in _columns((ZERO,) + tri.b, closed, strict):
+        j = jhi if W1 < 0 else jlo
+        num = base + T * (W0 * i + W1 * j)
+        if best is None or (num * best[1], (i, j, k)) < (best[0] * k, best[2]):
+            best = num, k, (i, j, k)
     if best is None:
         return None
-    tau = -best[0]
+    num, k, (i, j, _) = best
+    tau = Fraction(-num, m * T * k)
     alpha = alphas[f] if tau == c_cur else _tilt_alpha_from_coeff(tri, beta, f, tau)
-    return alpha, best[1]
+    return alpha, (tri.b[0] + i, tri.b[1] + j, Fraction(k))
 
 
 def tilt(tri: Type3Triangle, beta, budget: Budget = Budget()) -> TiltResult:
@@ -702,11 +702,12 @@ def fixed_ball(tri: Type3Triangle, beta, budget: Budget = Budget()) -> FixedBall
             )
         )
 
+    covered = union_area(pieces)  # as `_covered_by_union`, swept once per ball
     lo, hi = 0, len(radii) - 1
     best = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        if _covered_by_union(square_of(radii[mid]), pieces):
+        if union_area([square_of(radii[mid]), *pieces]) == covered:
             best = radii[mid]
             lo = mid + 1
         else:

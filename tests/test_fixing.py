@@ -6,12 +6,23 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from conftest import random_valid_triangle
 from liftfix.cli import main
-from liftfix.errors import NotArgmax, OriginNotInterior, PreconditionViolated
-from liftfix.exactgeo import HPoly, Polygon2, convex_intersection, vertices_from_rows
+from liftfix.errors import (
+    NoPositiveValueWithinBudget,
+    NotArgmax,
+    OriginNotInterior,
+    PreconditionViolated,
+)
+from liftfix.exactgeo import (
+    HPoly,
+    Polygon2,
+    _ccw_sorted,
+    convex_intersection,
+    vertices_from_rows,
+)
 from liftfix.fixing import (
     FixApprox,
     Piece,
@@ -109,7 +120,29 @@ def triangle_anchors(draw):
     raise AssertionError("neither direction of a tie line is on the body's boundary")
 
 
+@st.composite
+def triangle_certs(draw):
+    """A random valid triangle's gauge and its lifting certificate at a drawn pstar."""
+    g = random_valid_triangle(random.Random(draw(st.integers(0, 2**32)))).gauge()
+    pstar = tuple(F(draw(st.integers(0, 8)), 8) for _ in range(2))
+    try:
+        return g, v_psi(g, pstar)
+    except NoPositiveValueWithinBudget:
+        reject()
+
+
 class TestClosedFormSpindle:
+    @settings(max_examples=60, deadline=None)
+    @given(triangle_certs())
+    def test_parallelogram_ring_is_the_sorted_ring(self, drawn):
+        # pieces are printed in certificates, so the direct ring must start
+        # and run exactly as `_ccw_sorted` orders the same four vertices
+        g, cert = drawn
+        for piece in fix_approx(g, cert).pieces:
+            ring = piece.polygon.vertices
+            if len(ring) == 4:
+                assert ring == _ccw_sorted(ring)
+
     @settings(max_examples=150, deadline=None)
     @given(triangle_anchors())
     def test_matches_vertex_enumeration(self, drawn):

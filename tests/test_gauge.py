@@ -21,6 +21,7 @@ from liftfix.errors import (
 from liftfix.exactgeo import HPoly
 from liftfix.gauge import (
     Budget,
+    FreeCert,
     Gauge,
     check_sfree,
     lifting_cone,
@@ -32,7 +33,7 @@ from liftfix.gauge import (
     v_psi_geometric,
     v_seq,
 )
-from liftfix.lattice import Lattice, contains
+from liftfix.lattice import Lattice, contains, points_in
 from liftfix.rational import dot, vadd, vscale, vsub
 from liftfix.type3 import pyramid, triangle_from_mixing
 
@@ -530,6 +531,86 @@ class TestTruncationAndTails:
         g = Gauge(HPoly(3, rows), Lattice(2, (F(1, 2), F(1, 2)), tail=1))
         with pytest.raises(UnboundedRegion):
             v_psi(g, (F(0), F(0), F(1, 2)))
+
+
+def fraction_check_sfree(body, lat):
+    """Reference `check_sfree`: each point's rows as `Fraction` dots, one by one."""
+    hits = [[] for _ in body.rows]
+    witness = None
+    for x in points_in(lat, body, strict=False):
+        vals = [dot(a, x) for a in body.rows]
+        if all(v < 1 for v in vals):
+            if witness is None:
+                witness = x
+        else:
+            for i, v in enumerate(vals):
+                if v == 1:
+                    hits[i].append(x)
+    return FreeCert(witness is None, witness, tuple(tuple(h) for h in hits))
+
+
+def twice_lifted_cone(g, p1, p2, v1, v2):
+    rows = tuple(a + (v1 - dot(a, p1), v2 - dot(a, p2)) for a in g.body.rows)
+    return HPoly(g.body.dim + 2, rows), g.lattice.with_tail(g.lattice.tail + 2)
+
+
+@pytest.fixture(scope="module")
+def sfree_cases(tri, g):
+    """(body, lattice) by name: periodic, truncated and tail lattices, free or not."""
+    cross = HPoly(3, tuple(tuple(F(2, 3) * v for v in signs)
+                           for signs in itertools.product((1, -1), repeat=3)))
+    trunc = truncated_triangle()
+    pyr = Gauge(pyramid(tri).body, tri.lattice.with_tail(1))
+    p1, p2 = (F(-1, 2), F(-3, 4), F(1, 4)), (F(1, 2), F(3, 4), F(5, 8))
+    v1 = v_psi(pyr, p1).value
+    q = (F(1, 4), F(3, 8))
+    vq = v_seq(g, PSTAR, q, F(1, 5)).value
+    tail1 = g.lattice.with_tail(1)
+    return {
+        "triangle": (g.body, g.lattice),
+        "doubled triangle": (HPoly(2, tuple(tuple(c / 2 for c in a) for a in g.body.rows)),
+                             g.lattice),
+        "cross-polytope": (cross, Lattice(3, (F(-1, 2),) * 3)),
+        "truncated": (trunc.body, trunc.lattice),
+        "truncated lifted cone": (lifting_cone(trunc, (F(7, 8), F(-1, 2)), F(1, 4)),
+                                  trunc.lattice.with_tail(1)),
+        "lifted cone": (lifting_cone(g, PSTAR, F(1, 5)), tail1),
+        "lifted cone below the value": (lifting_cone(g, PSTAR, F(19, 100)), tail1),
+        "pyramid's lifted cone": (lifting_cone(pyr, (F(1, 2), F(7, 8), F(1, 4)), F(1, 2)),
+                                  pyr.lattice.with_tail(2)),
+        "twice-lifted cone": twice_lifted_cone(g, PSTAR, q, F(1, 5), vq),
+        "twice-lifted cone below the value": twice_lifted_cone(g, PSTAR, q, F(1, 5),
+                                                               vq - F(1, 100)),
+        "pyramid's twice-lifted cone": twice_lifted_cone(pyr, p1, p2, v1, F(3, 5)),
+    }
+
+
+class TestIntegerRowTests:
+    """`check_sfree` tests rows in integers; the per-point Fraction loop agrees."""
+
+    @pytest.mark.parametrize("name, free", [
+        ("triangle", True),
+        ("doubled triangle", False),
+        ("cross-polytope", True),
+        ("truncated", True),
+        ("truncated lifted cone", True),
+        ("lifted cone", True),
+        ("lifted cone below the value", False),
+        ("pyramid's lifted cone", True),
+        ("twice-lifted cone", True),
+        ("twice-lifted cone below the value", False),
+        ("pyramid's twice-lifted cone", True),
+    ])
+    def test_matches_fraction_reference(self, sfree_cases, name, free):
+        body, lat = sfree_cases[name]
+        cert = check_sfree(body, lat)
+        assert cert == fraction_check_sfree(body, lat)
+        assert cert.free == free
+        if free:
+            assert any(cert.facet_hits)
+        else:
+            # the lexicographically first interior point
+            assert cert.witness == points_in(lat, body, strict=True)[0]
 
 
 class TestDescent:

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from liftfix.errors import (
     ApexConditionFailed,
@@ -367,8 +368,48 @@ def stage_oracle(tri, beta, alphas, f, margin, k_window):
     return astar, min(p for a, p in cands if a == astar)
 
 
+@st.composite
+def stage_states(draw):
+    """A random valid triangle, a beta above its bound, current alphas, a
+    facet, a margin whose edge falls on either side of 0, and a window."""
+    tri = random_valid_triangle(random.Random(draw(st.integers(0, 2**32))))
+    beta = tilt_beta_bound(tri) + F(draw(st.integers(1, 16)), 8)
+    alphas = tuple(F(draw(st.integers(0, 7)), 8) for _ in range(3))
+    f = draw(st.integers(0, 2))
+    # the margin edge is c - margin, for facet f's coefficient c: past 0 for
+    # n >= 8, and short of it for the smaller n when c is positive (facet 3)
+    c = _tilt_coeff(tri, beta, f, alphas[f])
+    margin = (max(c, 0) + 1) * F(draw(st.integers(1, 16)), 8)
+    return tri, beta, alphas, f, margin, draw(st.integers(1, 6))
+
+
+def _first_stage(b, beta, margin=F(12), k_window=12):
+    return triangle_from_mixing(b), beta, (F(0), F(0), F(0)), 2, margin, k_window
+
+
+# two columns at heights 2 and 1 share the binding threshold; the height-2
+# point is lexicographically first
+TIE = (triangle_from_gammas((F(-1, 12), F(-1, 3)), F(11, 8), F(1, 8), F(7, 8)),
+       F(745, 256), (F(1, 2), F(1, 2), F(1, 4)), 1, F(9, 4), 2)
+
+
 class TestStageBinding:
     """The column-selecting tilt stage against the per-point reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(stage_states())
+    @example(_first_stage(B1, F(4)))  # the tilt workload's first stages
+    @example(_first_stage(B1, F(9, 2)))
+    @example(_first_stage(B2, F(4)))
+    @example(_first_stage(B2, F(5)))
+    @example(TIE)
+    # the margin edge stops short of 0, and w_3's second coordinate is
+    # negative: the binding point is the high end of its column
+    @example(_first_stage(B1, F(4), F(28, 5), 6))
+    # an empty window
+    @example((triangle_from_mixing(B1), F(4), (F(0), F(0), F(15, 16)), 2, F(1), 1))
+    def test_matches_reference(self, state):
+        assert _stage_binding(*state) == stage_oracle(*state)
 
     @pytest.mark.parametrize("b", [B1, B2])
     @pytest.mark.parametrize("beta", [F(4), F(9, 2), F(5)])
