@@ -64,7 +64,7 @@ def _load_instance(args) -> Instance:
 
 
 def _need_pstar(inst: Instance, args):
-    if args.pstar:
+    if args.pstar is not None:
         return _parse_point(args.pstar)
     if inst.pstar is not None:
         return inst.pstar

@@ -8,12 +8,15 @@ two independent ways and cross-certified:
 * freeness of the lifted cone with apex (p, 1)/lambda (the geometric route).
 
 Both scan S, truncation and tails included, through `lattice`.  The
-candidate searches (`v_psi`, `v_seq`) walk heights 1, 2, ... and stop where
-psi's lower bound on S (`_psi_floor`, 0 on a bounded body) passes the
-shrinking window.  The geometric route walks no heights: a lifted cone is
-one more polyhedron and S x Z_+ is S with one more tail coordinate, so one
-`check_sfree` scans all of it, with the heights bounded by the cone's own
-rows; a cone that never closes raises UnboundedRegion.
+candidate search (`v_psi`) walks heights 1, 2, ... and stops where psi's
+lower bound on S (`_psi_floor`, taken per tail coordinate and 0 on a
+bounded body) passes the shrinking window.  The geometric route walks no
+heights: a lifted cone is one more polyhedron and S x Z_+ is S with one
+more tail coordinate, so one `check_sfree` scans all of it, with the
+heights bounded by the cone's own rows; a cone that never closes raises
+UnboundedRegion.  The same identity makes sequential lifting (`v_seq`)
+lifting over the lifted gauge: fixing p1 at v1 gives one more gauge over
+S x Z_+, and the value at p2 is its lifting value at (p2, 0).
 A LiftCert carries the value together with every boundary witness of the
 certifying cone, so third parties can re-verify with nothing but rational
 arithmetic.  The two liftings phi and psi* share one descent over
@@ -25,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import (
     CertificateMismatch,
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .exactgeo import HPoly, Polygon2, fm_upper_bound, vertices_from_rows
 from .lattice import Lattice, _integer_row, _points, _scan, points_in
-from .rational import Vec, dot, rat, vadd, vscale, vsub
+from .rational import Vec, dot, rat, vscale, vsub
 
 
 @dataclass(frozen=True)
@@ -65,23 +67,6 @@ class Gauge:
     def __post_init__(self):
         if self.body.dim != self.lattice.full_dim:
             raise DimensionMismatch("body and lattice dimensions differ")
-
-    @cached_property
-    def psi_floor_rate(self) -> Fraction:
-        """min psi(r) over the r whose tail coordinates are all >= -1.
-
-        Negative when only S's tail rows bound the body; UnboundedRegion when
-        psi < 0 is left unbounded.  Zero on S = b + Z^n, where a scan of a
-        region with psi < 0 raises UnboundedRegion itself.
-        """
-        n = self.body.dim
-        # -min psi is the sup of u over a_i.r + u <= 0 and -r_t <= 1
-        rows = [(a + (1,), 0) for a in self.body.rows]
-        rows += [(tuple(-int(j == t) for j in range(n + 1)), 1) for t in range(self.lattice.dim, n)]
-        sup = 0 if self.lattice.periodic else fm_upper_bound(rows, n + 1, n)
-        if sup is None:
-            raise UnboundedRegion("psi has no lower bound per unit height: heights never close")
-        return -sup
 
     def body_polygon(self) -> Polygon2:
         return vertices_from_rows(self.body.as_pairs())
@@ -150,11 +135,24 @@ def lifting_cone(g: Gauge, pstar: Vec, lam) -> HPoly:
 
 
 def _psi_floor(g: Gauge, c: Vec):
-    """A lower bound of psi(x - c) over S, superadditive in c.
+    """min psi(r) over the r with r_t >= -max(0, c_t) in each tail coordinate.
 
-    The tail coordinates of x - c are at least -max(0, c_t) on S.
+    A lower bound of psi(x - c) over S, positively homogeneous in c.  It is
+    -sup u over a_i.r + u <= 0, -r_t <= max(0, c_t); negative when only S's
+    tail rows bound the body, UnboundedRegion when psi < 0 is left
+    unbounded.  Zero on S = b + Z^n, where a scan of a region with psi < 0
+    raises UnboundedRegion itself.
     """
-    return g.psi_floor_rate * max((0, *c[g.lattice.dim :]))
+    if g.lattice.periodic:
+        return 0
+    n = g.body.dim
+    rows = [(a + (1,), 0) for a in g.body.rows]
+    rows += [(tuple(-int(j == t) for j in range(n + 1)), max(0, c[t]))
+             for t in range(g.lattice.dim, n)]
+    sup = fm_upper_bound(rows, n + 1, n)
+    if sup is None:
+        raise UnboundedRegion("psi has no lower bound on S: heights never close")
+    return -sup
 
 
 def _sublevel_points(g: Gauge, center: Vec, level):
@@ -275,46 +273,17 @@ class SeqLiftCert:
 def v_seq(g: Gauge, p1: Vec, p2: Vec, v1, budget: Budget = Budget()) -> SeqLiftCert:
     """Smallest coefficient at p2 among minimal liftings optimal at p1.
 
-    Searches the double-height candidate set: a boundary point (x, k1, k2)
-    of the twice-lifted cone gives (1 - k1*v1 - psi(x - k1 p1 - k2 p2)) / k2.
-    The k2 = 1..cap, k1 = 1..cap windows close exactly once the running best
-    is positive, with psi's floors along p1 and p2 as in v_psi.  The value
-    is verified free-and-tight on the twice-lifted cone.
+    Sequential lifting is lifting over the lifted gauge: the cone over
+    (p1, 1)/v1 is a gauge over S x Z_+ whose value at (x - k2*p2, k1) is
+    k1*v1 + psi(x - k1*p1 - k2*p2), so its lifting value at (p2, 0) is the
+    best (1 - k1*v1 - psi(x - k1*p1 - k2*p2)) / k2.  `v_psi` searches and
+    certifies it on the twice-lifted cone; its blocking points ((x, k1), k2)
+    become the triples (x, k1, k2).
     """
-    v1 = rat(v1)
-    if v1 <= 0:
-        raise NonpositiveLambda(f"lambda must be positive, got {v1}")
-    # psi(x - k1*p1) >= k1*floor on S, so the k1 slices close once k1*rate1 > 1
-    rate1, floor2 = v1 + _psi_floor(g, p1), _psi_floor(g, p2)
-    if rate1 <= 0:
-        raise UnboundedRegion(f"lifted cone along {p1} never closes at lambda {v1}")
-    # positive seed: k1 = 0 candidates are exactly the lifting candidates of
-    # p2, so the seed is their exact maximum and the scan starts at k1 = 1.
-    # A better candidate only shrinks the windows still to come, so one pass
-    # with the running best sees every candidate above the final value.
-    best = v_psi(g, p2, budget).value
-    k2 = 1
-    while k2 <= math.ceil(1 / (best + floor2)):
-        k1 = 1
-        # while level reaches psi's floor on the slice, k1*floor(p1) + k2*floor(p2)
-        while k1 * rate1 <= 1 - k2 * (best + floor2):
-            level = 1 - k1 * v1 - k2 * best
-            center = vadd(vscale(k1, p1), vscale(k2, p2))
-            for x in _sublevel_points(g, center, level):
-                best = max(best, (1 - k1 * v1 - psi(g, vsub(x, center))) / k2)
-            k1 += 1
-        k2 += 1
-
-    # the twice-lifted cone is one more polyhedron, free of S x Z_+^2
-    rows = tuple(a + (v1 - dot(a, p1), best - dot(a, p2)) for a in g.body.rows)
-    cert = check_sfree(HPoly(g.body.dim + 2, rows), g.lattice.with_tail(g.lattice.tail + 2))
-    boundary = {(y[:-2], int(y[-2]), int(y[-1]))
-                for hits in cert.facet_hits for y in hits if y[-1] >= 1}
-    if not (cert.free and boundary):
-        raise CertificateMismatch(
-            f"sequential value {best} failed geometric verification"
-        )
-    return SeqLiftCert(tuple(p1), tuple(p2), v1, best, tuple(sorted(boundary)))
+    lifted = Gauge(lifting_cone(g, p1, v1), g.lattice.with_tail(g.lattice.tail + 1))
+    cert = v_psi(lifted, (*p2, 0), budget)
+    blocking = sorted((y[:-1], int(y[-1]), k) for y, k in cert.blocking)
+    return SeqLiftCert(tuple(p1), tuple(p2), rat(v1), cert.value, tuple(blocking))
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +299,8 @@ def phi_eval(cert: LiftCert, g: Gauge, p: Vec, budget: Budget = Budget()) -> Fra
     N = 0 term caps it at inf_z psi(p + z), so the lifting never exceeds
     the gauge itself.
     """
+    if len(p) != g.body.dim:
+        raise DimensionMismatch(f"expected a point of dimension {g.body.dim}, the body's")
     return psi_star_eval(cert, g, tuple(p) + (Fraction(0),), budget)
 
 

@@ -213,6 +213,21 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "DomainViolation"
 
+    @pytest.mark.parametrize("argv", [["--pstar="], ["--pstar", ""]], ids=["joined", "spaced"])
+    def test_empty_pstar_exits_two(self, argv, instance_path, capsys):
+        # an explicit empty point is an error, not the instance's own pstar
+        code = main(["lift", "value", "--instance", instance_path] + argv)
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "DomainViolation"
+
+    def test_phi_point_of_the_wrong_dimension_exits_two(self, instance_path, capsys):
+        code = main(["lift", "phi", "--instance", instance_path, "--p", "1/2"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "DimensionMismatch"
+        assert err["message"] == "expected a point of dimension 2, the body's"
+
     def test_missing_instance_file_exits_two(self, tmp_path, capsys):
         code = main(["lift", "value", "--instance", str(tmp_path / "absent.json")])
         assert code == 2

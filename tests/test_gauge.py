@@ -10,7 +10,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import random_valid_triangle
 from liftfix.errors import (
     BudgetExceeded,
     CertificateMismatch,
@@ -23,6 +25,7 @@ from liftfix.gauge import (
     Budget,
     FreeCert,
     Gauge,
+    _psi_floor,
     check_sfree,
     lifting_cone,
     phi_eval,
@@ -39,6 +42,7 @@ from liftfix.type3 import pyramid, triangle_from_mixing
 
 B = (F(-1, 4), F(-3, 4))
 PSTAR = (F(1, 2), F(7, 8))
+EIGHTH = st.integers(-8, 8).map(lambda n: F(n, 8))
 
 
 @pytest.fixture(scope="module")
@@ -324,7 +328,7 @@ class TestSequential:
     def test_fuzz_against_brute_force(self):
         # random instances; the brute window is stretched to contain the
         # returned witness, so agreement is a real optimality check
-        from conftest import random_rational_point, random_valid_triangle
+        from conftest import random_rational_point
 
         rng = random.Random(31337)
         done = 0
@@ -361,6 +365,18 @@ class TestSequential:
                 k1 += 1
             assert best == sq.value
             done += 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), coords=st.lists(EIGHTH, min_size=4, max_size=4))
+    def test_sequential_value_is_at_least_the_lifting_value(self, seed, coords):
+        # the k1 = 0 candidates of the lifted gauge are exactly v_psi's
+        g2 = random_valid_triangle(random.Random(seed)).gauge()
+        p1, p2 = tuple(coords[:2]), tuple(coords[2:])
+        try:
+            v1, v2 = v_psi(g2, p1).value, v_psi(g2, p2).value
+        except NoPositiveValueWithinBudget:
+            assume(False)
+        assert v_seq(g2, p1, p2, v1).value >= v2
 
 
 class TestLiftings:
@@ -457,7 +473,7 @@ class TestTruncationAndTails:
         # the rows average to (0, 0, 1/5), so psi(r) >= r3/5 >= -N*pstar3/5 on
         # S - N*pstar, and a height-N candidate is worth at most 1/N + pstar3/5
         g = Gauge(pyramid(tri).body, tri.lattice.with_tail(1))
-        assert g.psi_floor_rate == F(-1, 5)
+        assert _psi_floor(g, (0, 0, 1)) == F(-1, 5)
         cert = v_psi(g, pstar)
         assert cert.value == value
         assert box_lift_value(g, pstar, nmax=40, rad=5, slack=pstar[2] / 5) == value
@@ -503,6 +519,22 @@ class TestTruncationAndTails:
             c = vadd(vscale(k1, p1), vscale(k2, p2))
             assert contains(g.lattice, x) and (1 - k1 * v1 - psi(g, vsub(x, c))) / k2 == value
 
+    def test_search_sizes(self, tri):
+        # (value, n_cap, scanned): the height floor per tail coordinate moves
+        # neither the cap nor the number of candidates scanned
+        g = Gauge(pyramid(tri).body, tri.lattice.with_tail(1))
+        cases = [
+            (g, (F(1, 8), F(1, 8), F(1, 8)), (F(1, 10), 14, 18)),
+            (g, (F(1, 2), F(7, 8), F(1, 4)), (F(1, 2), 3, 6)),
+            (g, (F(0), F(1, 3), F(1, 2)), (F(8, 15), 3, 5)),
+            (g, (F(7, 8), F(-3, 4), F(5, 2)), (F(11, 10), 2, 11)),
+            (g, (F(-1, 8), F(-1, 4), F(23, 8)), (F(13, 10), 2, 10)),
+            (truncated_triangle(), (F(7, 8), F(-1, 2)), (F(1, 4), 4, 2)),
+        ]
+        for gauge, pstar, sizes in cases:
+            cert = v_psi(gauge, pstar)
+            assert (cert.value, cert.search_budget["n_cap"], cert.search_budget["scanned"]) == sizes
+
     def test_pyramid_heights_that_never_close(self, tri):
         # the box oracle finds 1/5, exactly psi's floor rate times -pstar3, so
         # no height cap 1/N + 1/5 < best ever holds: exit 3, not a guess
@@ -511,6 +543,15 @@ class TestTruncationAndTails:
         assert box_lift_value(g, pstar, nmax=8, rad=4) == F(1, 5)
         with pytest.raises(BudgetExceeded):
             v_psi(g, pstar)
+
+    @pytest.mark.parametrize("v1", [F(1, 10), F(1, 5)])
+    def test_sequential_cone_that_never_closes(self, tri, v1):
+        # psi falls by 1/5 per unit of tail height, and p1's tail coordinate
+        # is 1: at v1 = 1/10 the height floor is unbounded, at v1 = 1/5 it is
+        # flat and the candidate scan finds the recession direction
+        g = Gauge(pyramid(tri).body, tri.lattice.with_tail(1))
+        with pytest.raises(UnboundedRegion):
+            v_seq(g, (F(1, 2), F(7, 8), F(1)), (F(1, 2), F(3, 4), F(5, 8)), v1)
 
     def test_truncation_that_bounds_a_receding_body(self):
         # x, y >= -1/2 over (-1/2, -1/2) + Z^2 cut to x <= -1/2, y <= 1/2: S is
