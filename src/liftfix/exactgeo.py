@@ -8,9 +8,9 @@ higher-dimensional polyhedron is the same call after fixing its last
 coordinate.
 
 Everything is exact rational arithmetic: vertex enumeration, halfplane
-clipping, shoelace areas, and unions in the plane and on the unit torus (the
-wrap into the cell and one exact slab sweep, both run on integer coordinates
-scaled by one common denominator and returning exact Fractions).
+clipping, shoelace areas, and unions in the plane and on the unit torus.  The
+wrap into the cell, the slab sweep and `area_outside_strips` (cells outside
+strips, on homogeneous points) run on integers over one common denominator.
 Lower-dimensional intersections (segments, points) are ordinary polygons
 with area 0, not special cases.  All values are immutable and all functions
 are deterministic.
@@ -183,10 +183,6 @@ def fm_upper_bound(rows, dim: int, idx: int):
 # ---------------------------------------------------------------------------
 
 
-def _feasible(rows, x) -> bool:
-    return all(dot(a, x) <= c for a, c in rows)
-
-
 def _recession_ray(rows):
     """A nonzero direction d with a.d <= 0 for all rows, or None.
 
@@ -251,7 +247,7 @@ def vertices_from_rows(rows) -> Polygon2:
         if det == 0:
             continue
         x = ((c1 * a2[1] - c2 * a1[1]) / det, (a1[0] * c2 - a2[0] * c1) / det)
-        if _feasible(rows, x):
+        if all(dot(a, x) <= c for a, c in rows):
             candidates.add(x)
 
     if not candidates:
@@ -366,6 +362,41 @@ def convex_intersection(pa: Polygon2, pb: Polygon2) -> Polygon2:
     # pb is CCW: the halfplane left of each edge v -> w
     halfplanes = (((w[1] - v[1], v[0] - w[0]), cross2(v, w)) for v, w in edges(pb.vertices))
     return clip_many(pa, halfplanes)
+
+
+def _cut(ring, n0: int, n1: int, c: int):
+    """A ring of homogeneous integer points (X, Y, W), W > 0, cut to n.x <= c."""
+    out = []
+    for p, q in edges(ring):
+        gp, gq = (n0 * v[0] + n1 * v[1] - c * v[2] for v in (p, q))
+        if gp * gq < 0:  # the crossing gq*p - gp*q, signed to keep W > 0
+            out.append(tuple(gq * u - gp * v if gq > 0 else gp * v - gq * u for u, v in zip(p, q)))
+        if gq <= 0:
+            out.append(q)
+    return out
+
+
+def area_outside_strips(vertices, strips) -> Fraction:
+    """Exact area of a CCW convex polygon outside closed strips lo <= n.x <= hi.
+
+    Each strip (n, lo, hi), n an integer normal, splits every cell into its
+    outer sides n.x <= lo and n.x >= hi, on homogeneous integer points over
+    one common scale L; the cells' interiors are disjoint, so the residual
+    is their shoelace sum, one Fraction per cell triangle.  A point or a
+    segment has no cells.
+    """
+    L = math.lcm(*(c.denominator for v in (*vertices, *(s[1:] for s in strips)) for c in v))
+    up = lambda c: c.numerator * (L // c.denominator)  # noqa: E731
+    cells = [[(up(x), up(y), 1) for x, y in vertices]] if len(vertices) > 2 else []
+    for (n0, n1), lo, hi in strips:
+        cuts = ((n0, n1, up(lo)), (-n0, -n1, -up(hi)))
+        cells = [out for cell in cells for cut in cuts if len(out := _cut(cell, *cut)) > 2]
+    total = ZERO
+    for (x0, y0, w0), *rest in cells:
+        for (x1, y1, w1), (x2, y2, w2) in itertools.pairwise(rest):
+            det = x0 * (y1 * w2 - w1 * y2) - y0 * (x1 * w2 - w1 * x2) + w0 * (x1 * y2 - y1 * x2)
+            total += Fraction(det, 2 * w0 * w1 * w2 * L * L)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .exactgeo import (
     torus_cover,
     vertices_from_rows,
 )
-from .gauge import Gauge, LiftCert, lifting_cone, psi_eval, v_psi_geometric
+from .gauge import Gauge, LiftCert, lifting_cone, psi_eval, require_dim, v_psi_geometric
 from .lattice import Lattice, translation_group
 from .rational import Vec, dot, is_integral, rat, vadd, vscale, vsub
 
@@ -213,6 +213,7 @@ def translate_instance(g: Gauge, cert: LiftCert, m: Vec):
     to a.x <= c + a.m; the lifted point is pstar + value * m.  Requires 0
     interior to B + m.
     """
+    require_dim(g.body.dim, m)
     m = tuple(rat(c) for c in m)
     for a in g.body.rows:
         if 1 + dot(a, m) <= 0:

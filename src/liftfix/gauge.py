@@ -204,6 +204,12 @@ def v_psi_geometric(g: Gauge, pstar: Vec, lam) -> ConeCheck:
     return ConeCheck(cert.free, cert.free and tight, tuple(boundary))
 
 
+def require_dim(dim: int, *points):
+    """DimensionMismatch unless every point has the body's dimension `dim`."""
+    if any(len(p) != dim for p in points):
+        raise DimensionMismatch(f"expected a point of dimension {dim}, the body's")
+
+
 def v_psi(g: Gauge, pstar: Vec, budget: Budget = Budget()) -> LiftCert:
     """Smallest minimal-lifting coefficient at pstar, with certification.
 
@@ -214,6 +220,7 @@ def v_psi(g: Gauge, pstar: Vec, budget: Budget = Budget()) -> LiftCert:
     provably complete.  The result is then re-certified geometrically; a
     disagreement raises CertificateMismatch (a bug, never data).
     """
+    require_dim(g.body.dim, pstar)
     floor = _psi_floor(g, pstar)
     best = best_pair = cap = None
     N = 1
@@ -280,6 +287,7 @@ def v_seq(g: Gauge, p1: Vec, p2: Vec, v1, budget: Budget = Budget()) -> SeqLiftC
     certifies it on the twice-lifted cone; its blocking points ((x, k1), k2)
     become the triples (x, k1, k2).
     """
+    require_dim(g.body.dim, p1, p2)
     lifted = Gauge(lifting_cone(g, p1, v1), g.lattice.with_tail(g.lattice.tail + 1))
     cert = v_psi(lifted, (*p2, 0), budget)
     blocking = sorted((y[:-1], int(y[-1]), k) for y, k in cert.blocking)
@@ -299,8 +307,7 @@ def phi_eval(cert: LiftCert, g: Gauge, p: Vec, budget: Budget = Budget()) -> Fra
     N = 0 term caps it at inf_z psi(p + z), so the lifting never exceeds
     the gauge itself.
     """
-    if len(p) != g.body.dim:
-        raise DimensionMismatch(f"expected a point of dimension {g.body.dim}, the body's")
+    require_dim(g.body.dim, p)
     return psi_star_eval(cert, g, tuple(p) + (Fraction(0),), budget)
 
 

@@ -37,15 +37,14 @@ from .exactgeo import (
     HPoly,
     Polygon2,
     area,
-    clip_many,
+    area_outside_strips,
     convex_hull,
     edges,
     segment_crossing,
-    slice_polygon,
     union_area,
 )
 from .fixing import CoverCert, FixApprox, cover_certify, fix_approx, spindle
-from .gauge import Budget, Gauge, LiftCert, check_sfree, lifting_cone, v_psi
+from .gauge import Budget, Gauge, LiftCert, check_sfree, lifting_cone, require_dim, v_psi
 from .lattice import Lattice, _columns, _integer_row
 from .rational import Vec, dot, rat, vadd, vscale, vsub
 
@@ -249,31 +248,32 @@ class SplitCoverCert:
 def split_cover_certify(b) -> SplitCoverCert:
     """Cover each positive-height slice of the mixing pyramid by three splits.
 
-    Residual area exactly 0 at height k certifies the slice's relative
-    interior carries no lattice point (the splits are lattice-point-free in
-    their interiors); height 0 is the triangle itself, which is maximal
-    lattice-free.
+    The height-k slice is the rows' three pairwise crossings at z = k, each
+    checked against the third row; its residual is the area of its cells
+    outside the splits.  Residual 0 at height k certifies the slice's
+    relative interior carries no lattice point (the splits have none in
+    their interiors); height 0 is the maximal lattice-free triangle itself.
     """
     tri = triangle_from_mixing(b)
     pyr = pyramid(tri)
     b1, b2 = tri.b
-    heights = []
+    heights = tuple(range(1, math.floor(pyr.apex[2]) + 1))
     residuals = []
-    for k in range(1, math.floor(pyr.apex[2]) + 1):
-        poly = slice_polygon(pyr.body.as_pairs(), k)
-        splits = (
-            (((ZERO, ONE), b2 + k + 1), ((ZERO, -ONE), -(b2 + k))),
-            (((Fraction(2), -ONE), 2 * b1 - b2), ((Fraction(-2), ONE), 1 - 2 * b1 + b2)),
-            (
-                ((ONE, -ONE), b1 - b2 - Fraction(k, 2)),
-                ((-ONE, ONE), Fraction(k, 2) + Fraction(1, 2) - b1 + b2),
-            ),
-        )
-        residual = area(poly) - union_area([clip_many(poly, s) for s in splits])
-        heights.append(k)
-        residuals.append(residual)
+    for k in heights:
+        rows = [(a[:2], 1 - a[2] * k) for a in pyr.body.rows]
+        vertices = []
+        for i in range(3):  # rows i - 1 and i cross; row i + 1 checks the crossing
+            ((a0, a1), c), ((d0, d1), e), ((f0, f1), g) = rows[i - 1], rows[i], rows[i - 2]
+            det = a0 * d1 - a1 * d0
+            x, y = (c * d1 - a1 * e) / det, (a0 * e - d0 * c) / det
+            if f0 * x + f1 * y > g:
+                raise CertificateMismatch(f"height-{k} slice vertex {(x, y)} violates a row")
+            vertices.append((x, y))
+        strips = (((0, 1), b2 + k, b2 + k + 1), ((2, -1), 2 * b1 - b2 - 1, 2 * b1 - b2),
+                  ((1, -1), b1 - b2 - Fraction(k + 1, 2), b1 - b2 - Fraction(k, 2)))
+        residuals.append(area_outside_strips(vertices, strips))
     free = all(r == 0 for r in residuals)
-    return SplitCoverCert(tuple(heights), tuple(residuals), free, pyr.apex, pyr.body)
+    return SplitCoverCert(heights, tuple(residuals), free, pyr.apex, pyr.body)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +381,7 @@ def claim_check(tri: Type3Triangle, pstar: Vec) -> ClaimReport:
     pieces have a union of area their sum exactly when no two overlap in
     area, so pieces that share an edge or a vertex still pass.
     """
+    require_dim(tri.body.dim, pstar)
     pts = figure_points(tri)
     b1, b2 = tri.b
     s4 = (1 + b1, 2 + b2)

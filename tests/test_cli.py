@@ -221,8 +221,19 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "DomainViolation"
 
-    def test_phi_point_of_the_wrong_dimension_exits_two(self, instance_path, capsys):
-        code = main(["lift", "phi", "--instance", instance_path, "--p", "1/2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lift", "phi", "--p", "1/2"],
+            ["lift", "seq", "--p2", "1/2"],
+            ["lift", "value", "--pstar", "1/2"],
+            ["fix", "translate", "--m", "1/2"],
+            ["type3", "claim-check", "--pstar", "1/2"],
+        ],
+        ids=["lift-phi", "lift-seq", "lift-value", "fix-translate", "claim-check"],
+    )
+    def test_point_of_the_wrong_dimension_exits_two(self, argv, instance_path, capsys):
+        code = main(argv[:2] + ["--instance", instance_path] + argv[2:])
         assert code == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "DimensionMismatch"

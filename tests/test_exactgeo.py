@@ -16,6 +16,7 @@ from liftfix.exactgeo import (
     _slabs,
     _wrap_into_cell,
     area,
+    area_outside_strips,
     clip,
     clip_many,
     convex_hull,
@@ -639,3 +640,53 @@ class TestAreaIdentities:
         polys, sq = case
         covered = union_area([convex_intersection(sq, p) for p in polys]) == area(sq)
         assert (union_area([sq, *polys]) == union_area(polys)) == covered
+
+
+EIGHTH = st.integers(-24, 24).map(lambda n: F(n, 8))
+
+
+@st.composite
+def strips(draw):
+    """(n, lo, hi) with a small nonzero integer normal and lo <= hi."""
+    n = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda n: n != (0, 0)))
+    lo, hi = sorted(draw(st.tuples(EIGHTH, EIGHTH)))
+    return n, lo, hi
+
+
+def clipped_residual(poly, strips):
+    """Reference: area(P) minus the union of P clipped to each strip."""
+    parts = [clip_many(poly, ((n, hi), ((-n[0], -n[1]), -lo))) for n, lo, hi in strips]
+    return area(poly) - union_area(parts)
+
+
+class TestAreaOutsideStrips:
+    TRI = convex_hull([(F(0), F(0)), (F(2), F(0)), (F(0), F(2))])
+
+    @settings(max_examples=150, deadline=None)
+    @given(pts=st.lists(st.tuples(EIGHTH, EIGHTH), min_size=3, max_size=7),
+           strips=st.lists(strips(), min_size=1, max_size=3))
+    def test_matches_clipped_union(self, pts, strips):
+        poly = convex_hull(pts)
+        assert area_outside_strips(poly.vertices, strips) == clipped_residual(poly, strips)
+
+    @pytest.mark.parametrize("vertices", [((F(1), F(1)),), ((F(0), F(0)), (F(2), F(1)))],
+                             ids=["point", "segment"])
+    def test_point_or_segment_is_zero(self, vertices):
+        assert area_outside_strips(vertices, [((1, 0), F(5), F(6))]) == 0
+
+    def test_covering_strip_is_zero(self):
+        assert area_outside_strips(self.TRI.vertices, [((1, 1), F(0), F(2))]) == 0
+
+    def test_missing_strip_is_the_area(self):
+        assert area_outside_strips(self.TRI.vertices, [((1, 1), F(3), F(4))]) == 2
+
+    def test_zero_width_strip_is_the_area(self):
+        # the line x + y = 1 cuts the triangle into two cells of area 1/2, 3/2
+        assert area_outside_strips(self.TRI.vertices, [((1, 1), F(1), F(1))]) == 2
+        assert clipped_residual(self.TRI, [((1, 1), F(1), F(1))]) == 2
+
+    def test_residual_of_two_strips(self):
+        # x in [0, 1] and y in [0, 1] leave the corner cell x, y >= 1 empty
+        strips = [((1, 0), F(0), F(1)), ((0, 1), F(0), F(1))]
+        assert area_outside_strips(self.TRI.vertices, strips) == 0
+        assert area_outside_strips(self.TRI.vertices, strips[:1]) == F(1, 2)

@@ -1,5 +1,6 @@
 """Type 3 triangle family: pyramids, split covers, figure points, tilting."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -8,12 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from liftfix.errors import (
     ApexConditionFailed,
+    CertificateMismatch,
     ClaimViolated,
     DomainViolation,
     PreconditionViolated,
     WindowTooSmall,
 )
-from liftfix.exactgeo import HPoly, area, convex_hull, slice_polygon, vertices_from_rows
+from liftfix.exactgeo import (
+    HPoly, area, clip_many, convex_hull, slice_polygon, union_area, vertices_from_rows,
+)
 from liftfix.gauge import Budget, check_sfree, lifting_cone, psi
 from liftfix.fixing import fix_approx, spindle
 from liftfix.lattice import naive_box_points
@@ -118,6 +122,35 @@ class TestSplitCover:
         assert cert.free
         assert all(r == 0 for r in cert.residuals)
         assert cert.heights[-1] == cert.apex[2].__floor__()
+
+    # B1's apex height is the integer 5, so its last slice is a single point
+    @pytest.mark.parametrize("b", [B1, B2, (F(-3, 14), F(-9, 14)), (F(-1, 14), F(-4, 7))])
+    def test_matches_clipped_slices(self, b):
+        # reference: each slice by vertex enumeration, its residual by
+        # clipping to each split and one union sweep
+        tri = triangle_from_mixing(b)
+        pyr = pyramid(tri)
+        b1, b2 = tri.b
+        residuals = []
+        for k in range(1, pyr.apex[2].__floor__() + 1):
+            poly = slice_polygon(pyr.body.as_pairs(), k)
+            splits = (
+                (((0, 1), b2 + k + 1), ((0, -1), -(b2 + k))),
+                (((2, -1), 2 * b1 - b2), ((-2, 1), 1 - 2 * b1 + b2)),
+                (((1, -1), b1 - b2 - F(k, 2)), ((-1, 1), F(k + 1, 2) - b1 + b2)),
+            )
+            residuals.append(area(poly) - union_area([clip_many(poly, s) for s in splits]))
+        if b == B1:
+            assert len(poly.vertices) == 1
+        assert split_cover_certify(b).residuals == tuple(residuals)
+
+    def test_slice_above_the_apex_is_a_mismatch(self, monkeypatch):
+        # a claimed apex one level too high asks for an empty slice
+        pyr = pyramid(triangle_from_mixing(B1))
+        high = dataclasses.replace(pyr, apex=vadd(pyr.apex, (0, 0, 1)))
+        monkeypatch.setattr("liftfix.type3.pyramid", lambda tri: high)
+        with pytest.raises(CertificateMismatch, match="height-6 slice"):
+            split_cover_certify(B1)
 
     def test_enumeration_oracle_agrees(self):
         tri = triangle_from_mixing(B1)
