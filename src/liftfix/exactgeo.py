@@ -11,14 +11,14 @@ Everything is exact rational arithmetic: vertex enumeration, halfplane
 clipping, shoelace areas, and unions in the plane and on the unit torus.  The
 wrap into the cell, the slab sweep and `area_outside_strips` (cells outside
 strips, on homogeneous points) run on integers over one common denominator.
-Lower-dimensional intersections (segments, points) are ordinary polygons
-with area 0, not special cases.  All values are immutable and all functions
-are deterministic.
+Every ring takes one normal form, `convex_hull`'s; one start rule orders the
+rings certificates print.  Lower-dimensional intersections (segments, points)
+are ordinary polygons with area 0, not special cases.  All values are
+immutable and all functions are deterministic.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -198,26 +198,12 @@ def _recession_ray(rows):
     return None
 
 
-def _ccw_sorted(points):
-    cx = sum(p[0] for p in points) / len(points)
-    cy = sum(p[1] for p in points) / len(points)
-
-    def half(u):
-        return 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
-
-    def cmp(p, q):
-        u, v = (p[0] - cx, p[1] - cy), (q[0] - cx, q[1] - cy)
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return -1 if hu < hv else 1
-        c = cross2(u, v)
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        return 0
-
-    return tuple(sorted(points, key=functools.cmp_to_key(cmp)))
+def _least_angle_first(ring, center):
+    """A CCW ring around `center`, started at its least angle in [0, 2*pi) about it."""
+    cx, cy = center
+    upper = [(y - cy, x - cx) > (0, 0) for x, y in ring]  # angle in [0, pi)
+    s = next(i for i in range(len(ring)) if upper[i] and not upper[i - 1])
+    return ring[s:] + ring[:s]
 
 
 def vertices_from_rows(rows) -> Polygon2:
@@ -258,13 +244,11 @@ def vertices_from_rows(rows) -> Polygon2:
     if _recession_ray(rows) is not None:
         raise UnboundedRegion("region has a recession direction")
 
-    pts = sorted(candidates)
-    if len(pts) == 1:
-        return Polygon2((pts[0],))
-    d = vsub(pts[-1], pts[0])
-    if all(cross2(d, vsub(p, pts[0])) == 0 for p in pts):
-        return Polygon2((pts[0], pts[-1]))  # collinear: keep the extremes
-    return Polygon2(_ccw_sorted(pts))
+    ring = convex_hull(candidates).vertices
+    if len(ring) < 3:
+        return Polygon2(ring)
+    # the vertex mean is interior, so every vertex has an angle about it
+    return Polygon2(_least_angle_first(ring, tuple(sum(c) / len(ring) for c in zip(*ring))))
 
 
 # ---------------------------------------------------------------------------
@@ -272,33 +256,12 @@ def vertices_from_rows(rows) -> Polygon2:
 # ---------------------------------------------------------------------------
 
 
-def _canon_ring(pts):
-    """Drop duplicate and collinear-middle vertices from a CCW ring."""
-    out = []
-    for p in pts:
-        if not out or p != out[-1]:
-            out.append(p)
-    if len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    if len(out) < 3:
-        return tuple(out)
-    changed = True
-    while changed and len(out) >= 3:
-        changed = False
-        n = len(out)
-        for i in range(n):
-            a, b, c = out[i - 1], out[i], out[(i + 1) % n]
-            if cross2(vsub(b, a), vsub(c, b)) == 0:
-                out.pop(i)
-                changed = True
-                break
-    if len(out) == 2 and out[0] == out[1]:
-        out.pop()
-    return tuple(out)
-
-
 def clip(poly: Polygon2, halfplane) -> Polygon2:
-    """poly intersected with {x : a.x <= c}, exactly (Sutherland-Hodgman)."""
+    """poly intersected with {x : a.x <= c}, exactly (Sutherland-Hodgman).
+
+    No library code calls it, `clip_many` or `convex_intersection`: they are
+    the tests' reference route, and the benchmark traces the last two.
+    """
     a, c = halfplane
     a = tuple(a)
     c = rat(c)
@@ -319,13 +282,11 @@ def clip(poly: Polygon2, halfplane) -> Polygon2:
             t = (c - fprev) / (fcur - fprev)
             out.append(vadd(prev, tuple(t * d for d in vsub(cur, prev))))
         prev, fprev = cur, fcur
-    ring = _canon_ring(out)
-    if len(ring) > 2:
-        return Polygon2(ring)
-    return Polygon2(tuple(sorted(ring)))
+    return convex_hull(out)
 
 
 def clip_many(poly: Polygon2, halfplanes) -> Polygon2:
+    """poly clipped to each halfplane in turn; a reference route, as `clip`."""
     for hp in halfplanes:
         if poly.is_empty:
             return poly
@@ -333,8 +294,17 @@ def clip_many(poly: Polygon2, halfplanes) -> Polygon2:
     return poly
 
 
+def _turn(a, b, c):
+    """Twice the signed area of the triangle a, b, c; positive on a left turn."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
 def convex_hull(points) -> Polygon2:
-    """Monotone-chain hull of exact points; degenerate inputs collapse."""
+    """Monotone-chain hull of int or Fraction points, the normal form of a ring.
+
+    With area: CCW from the least point, no duplicate or collinear vertex;
+    else the sorted point or segment, or the empty polygon.
+    """
     pts = sorted(set(tuple(p) for p in points))
     if len(pts) <= 2:
         return Polygon2(tuple(pts))
@@ -342,21 +312,17 @@ def convex_hull(points) -> Polygon2:
     def half_hull(ps):
         hull = []
         for p in ps:
-            while len(hull) >= 2 and cross2(vsub(hull[-1], hull[-2]), vsub(p, hull[-2])) <= 0:
+            while len(hull) >= 2 and _turn(hull[-2], hull[-1], p) <= 0:
                 hull.pop()
             hull.append(p)
         return hull
 
-    lower = half_hull(pts)
-    upper = half_hull(list(reversed(pts)))
-    ring = tuple(lower[:-1] + upper[:-1])
-    if len(ring) < 3:
-        return Polygon2(tuple(sorted(set(ring))))
-    return Polygon2(ring)
+    # collinear points leave (least, greatest): the sorted segment
+    return Polygon2(tuple(half_hull(pts)[:-1] + half_hull(reversed(pts))[:-1]))
 
 
 def convex_intersection(pa: Polygon2, pb: Polygon2) -> Polygon2:
-    """Intersection of two convex polygons by edge clipping; pb needs area."""
+    """Intersection of two convex polygons by edge clipping (see `clip`); pb needs area."""
     if len(pb.vertices) < 3:
         return Polygon2(())
     # pb is CCW: the halfplane left of each edge v -> w
@@ -415,7 +381,7 @@ def slice_polygon(rows, t) -> Polygon2:
 # ---------------------------------------------------------------------------
 
 def _clip_side(ring, axis: int, side: int, c: int):
-    """A ring clipped to side * v[axis] <= side * c, as `clip` would do it.
+    """A hull ring clipped to side * v[axis] <= side * c, in hull form.
 
     A crossing keeps c as its `axis` coordinate and gets the other as one
     Fraction.  A ring left with fewer than three vertices has no area: ().
@@ -431,7 +397,7 @@ def _clip_side(ring, axis: int, side: int, c: int):
         if inside:
             out.append(cur)
         prev = cur
-    ring = _canon_ring(out)
+    ring = convex_hull(out).vertices
     return ring if len(ring) > 2 else ()
 
 
@@ -440,20 +406,18 @@ def _wrap_into_cell(polys):
 
     The rings are scaled once by the common denominator L of their
     vertices, so a translate moves by multiples of L in plain ints and the
-    cell is [0, L]^2.  Each ring is canonicalized once; translates of it stay
-    canonical, and only the cell sides a translate crosses are clipped.  A
-    piece with a positive shoelace sum comes back divided by L.
+    cell is [0, L]^2.  Each ring is put into hull form once, skipped with no
+    area; translates stay in hull form, and only the cell sides a translate
+    crosses are clipped.  What is left has area and comes back divided by L.
     """
-    rings = [p.vertices for p in polys if len(p.vertices) >= 3]
-    L = math.lcm(*(c.denominator for vs in rings for v in vs for c in v))
+    L = math.lcm(*(c.denominator for p in polys for v in p.vertices for c in v))
     halves = ((0, 1, L), (0, -1, 0), (1, 1, L), (1, -1, 0))  # x <= L, x >= 0, y <= L, y >= 0
     pieces = []
-    for vs in rings:
-        ring = [(x.numerator * (L // x.denominator), y.numerator * (L // y.denominator))
-                for x, y in vs]
-        if sum(cross2(a, b) for a, b in edges(ring)) == 0:
+    for p in polys:
+        ring = convex_hull([(x.numerator * (L // x.denominator), y.numerator * (L // y.denominator))
+                            for x, y in p.vertices]).vertices
+        if len(ring) < 3:
             continue
-        ring = _canon_ring(ring)
         xmin, xmax, ymin, ymax = Polygon2(ring).bbox()
         for i, j in itertools.product(range(-(xmax // L), (L - xmin) // L + 1),
                                       range(-(ymax // L), (L - ymin) // L + 1)):
@@ -463,7 +427,7 @@ def _wrap_into_cell(polys):
             shifted = tuple((x + i * L, y + j * L) for x, y in ring)
             for half in itertools.compress(halves, (sx1 > L, sx0 < 0, sy1 > L, sy0 < 0)):
                 shifted = shifted and _clip_side(shifted, *half)
-            if shifted and sum(cross2(a, b) for a, b in edges(shifted)) > 0:
+            if shifted:
                 pieces.append(Polygon2(tuple((Fraction(x, L), Fraction(y, L)) for x, y in shifted)))
     return pieces
 

@@ -29,6 +29,8 @@ from .exactgeo import (
     ZERO,
     HPoly,
     Polygon2,
+    _least_angle_first,
+    convex_hull,
     slice_polygon,
     torus_cover,
     vertices_from_rows,
@@ -80,17 +82,13 @@ def _triangle_spindle(strips, x: Vec) -> Polygon2 | None:
     det = d1 * e2 - d2 * e1
     if det == 0:
         return None
-    if x[0] == 0 and x[1] == 0:
-        return Polygon2(((ZERO, ZERO),))
-    if dx == 0 or ex == 0:
-        return Polygon2(tuple(sorted(((ZERO, ZERO), x))))
+    if dx == 0 or ex == 0:  # also at x = 0, where the segment is a point
+        return convex_hull(((ZERO, ZERO), x))
     u = (-d2 * ex / det, d1 * ex / det)
     v = (x[0] - u[0], x[1] - u[1])
-    # diagonals 0-x and u-v; start as `_ccw_sorted` does, at the least angle about x/2
+    # diagonals 0-x and u-v, so x/2 is the vertex mean and the start rule's center
     ring = ((ZERO, ZERO), u, x, v) if u[0] * x[1] > u[1] * x[0] else ((ZERO, ZERO), v, x, u)
-    upper = [(2 * p[1] - x[1], 2 * p[0] - x[0]) > (0, 0) for p in ring]
-    s = next(i for i in range(4) if upper[i] and not upper[i - 1])
-    return Polygon2(ring[s:] + ring[:s])
+    return Polygon2(_least_angle_first(ring, (x[0] / 2, x[1] / 2)))
 
 
 def slice_property_check(g: Gauge, cert: LiftCert, pair, t) -> bool:

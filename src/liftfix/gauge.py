@@ -45,7 +45,9 @@ from .rational import Vec, dot, rat, vscale, vsub
 
 @dataclass(frozen=True)
 class Budget:
-    """Enumeration caps: n_max bounds height loops, window bounds box scans."""
+    """Search caps: n_max bounds height loops; window, echoed in `lift value`'s
+    budget, is the tilt stages' starting margin and height window.
+    """
 
     n_max: int = 16
     window: int = 12

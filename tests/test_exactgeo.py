@@ -690,3 +690,64 @@ class TestAreaOutsideStrips:
         strips = [((1, 0), F(0), F(1)), ((0, 1), F(0), F(1))]
         assert area_outside_strips(self.TRI.vertices, strips) == 0
         assert area_outside_strips(self.TRI.vertices, strips[:1]) == F(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# The hull as the ring normal form, against the ring cleaner it replaced
+# ---------------------------------------------------------------------------
+
+
+def canon_ring(pts):
+    """Drop duplicate and collinear-middle vertices from a CCW ring."""
+    out = []
+    for p in pts:
+        if not out or p != out[-1]:
+            out.append(p)
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    if len(out) < 3:
+        return tuple(out)
+    changed = True
+    while changed and len(out) >= 3:
+        changed = False
+        n = len(out)
+        for i in range(n):
+            a, b, c = out[i - 1], out[i], out[(i + 1) % n]
+            if cross2(vsub(b, a), vsub(c, b)) == 0:
+                out.pop(i)
+                changed = True
+                break
+    if len(out) == 2 and out[0] == out[1]:
+        out.pop()
+    return tuple(out)
+
+
+@st.composite
+def raw_clip_rings(draw):
+    """A convex ring as a halfplane clip leaves it, before cleaning.
+
+    It starts at any vertex; a ring with area may also repeat vertices and
+    carry edge midpoints, a point or a segment only repeats its vertices.
+    An insertion after the last vertex may repeat the first.
+    """
+    vs = list(convex_hull(draw(st.lists(st.tuples(EIGHTH, EIGHTH), min_size=1, max_size=6))).vertices)
+    has_area = len(vs) > 2
+    s = draw(st.integers(0, len(vs) - 1))
+    vs = vs[s:] + vs[:s]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(vs)))
+        p, q = vs[i - 1], vs[i % len(vs)]
+        midpoint = has_area and draw(st.booleans())
+        vs.insert(i, ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) if midpoint else q)
+    return tuple(vs)
+
+
+class TestHullNormalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(raw_clip_rings())
+    @example(((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(0), F(0))))  # first vertex is the last
+    # a triangle clipped to its bottom edge collapses to a segment
+    @example(((F(0), F(0)), (F(0), F(0)), (F(1), F(0)), (F(1), F(0))))
+    @example(((F(1, 2), F(0)), (F(1), F(0)), (F(0), F(1)), (F(0), F(0))))  # collinear at index 0
+    def test_hull_keeps_the_cleaned_vertices(self, ring):
+        assert set(convex_hull(ring).vertices) == set(canon_ring(ring))

@@ -1,12 +1,13 @@
 """Spindles, fixing-region pieces, covering certificates, and transport."""
 
+import functools
 import json
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from conftest import random_valid_triangle
 from liftfix.cli import main
@@ -15,11 +16,11 @@ from liftfix.errors import (
     NotArgmax,
     OriginNotInterior,
     PreconditionViolated,
+    UnboundedRegion,
 )
 from liftfix.exactgeo import (
     HPoly,
     Polygon2,
-    _ccw_sorted,
     convex_intersection,
     vertices_from_rows,
 )
@@ -37,11 +38,38 @@ from liftfix.fixing import (
 )
 from liftfix.gauge import Gauge, psi, psi_eval, v_psi
 from liftfix.lattice import Lattice, TranslationGroup, naive_box_points
-from liftfix.rational import dot, vadd, vscale, vsub
+from liftfix.rational import cross2, dot, vadd, vscale, vsub
 from liftfix.type3 import pyramid, triangle_from_mixing
 
 B = (F(-1, 4), F(-3, 4))
 PSTAR = (F(1, 2), F(7, 8))
+
+
+def _ccw_sorted(points):
+    """Reference vertex order: by angle in [0, 2*pi) about the vertex mean.
+
+    Pieces are printed in certificates, so every ring the library builds must
+    start and run exactly as this sort orders the same vertices.
+    """
+    cx = sum(p[0] for p in points) / len(points)
+    cy = sum(p[1] for p in points) / len(points)
+
+    def half(u):
+        return 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
+
+    def cmp(p, q):
+        u, v = (p[0] - cx, p[1] - cy), (q[0] - cx, q[1] - cy)
+        hu, hv = half(u), half(v)
+        if hu != hv:
+            return -1 if hu < hv else 1
+        c = cross2(u, v)
+        if c > 0:
+            return -1
+        if c < 0:
+            return 1
+        return 0
+
+    return tuple(sorted(points, key=functools.cmp_to_key(cmp)))
 
 
 @pytest.fixture(scope="module")
@@ -135,8 +163,6 @@ class TestClosedFormSpindle:
     @settings(max_examples=60, deadline=None)
     @given(triangle_certs())
     def test_parallelogram_ring_is_the_sorted_ring(self, drawn):
-        # pieces are printed in certificates, so the direct ring must start
-        # and run exactly as `_ccw_sorted` orders the same four vertices
         g, cert = drawn
         for piece in fix_approx(g, cert).pieces:
             ring = piece.polygon.vertices
@@ -158,6 +184,60 @@ class TestClosedFormSpindle:
             for f in psi_eval(g, anchor).argmax:
                 sp = spindle(g.body.rows, anchor, f)
                 assert sp.polygon == vertices_from_rows(sp.rows)
+
+
+SMALL = st.integers(-3, 3).map(F)
+
+
+@st.composite
+def bounded_rows(draw):
+    """3 to 8 small integer rows a.x <= c around 0, some of them derived.
+
+    The last independent row is minus the sum of the others, so the normals
+    span the plane positively unless they are all parallel.  A derived row
+    repeats one, scales one, loosens one (redundant) or adds two, which is
+    tight wherever both are, so it passes through their common vertex when
+    they are adjacent (concurrent).
+    """
+    normals = draw(st.lists(st.tuples(SMALL, SMALL), min_size=2, max_size=5))
+    normals.append((-sum(a[0] for a in normals), -sum(a[1] for a in normals)))
+    rows = [(a, F(draw(st.integers(1, 4)))) for a in normals]
+    for _ in range(draw(st.integers(0, 8 - len(rows)))):
+        (a0, a1), c = draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(("duplicate", "scaled", "redundant", "concurrent")))
+        if kind == "duplicate":
+            rows.append(((a0, a1), c))
+        elif kind == "scaled":
+            k = draw(st.integers(2, 3))
+            rows.append(((k * a0, k * a1), k * c))
+        elif kind == "redundant":
+            rows.append(((a0, a1), c + draw(st.integers(1, 2))))
+        else:
+            (b0, b1), d = draw(st.sampled_from(rows))
+            rows.append(((a0 + b0, a1 + b1), c + d))
+    return rows
+
+
+class TestRingOrder:
+    """The generic vertex enumeration starts and runs as the reference sort.
+
+    No benchmark workload runs it on more than three vertices, so this alone
+    pins the printed order of larger rings.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounded_rows())
+    @example([((F(1), F(1)), F(1)), ((F(-1), F(1)), F(1)),
+              ((F(1), F(-1)), F(1)), ((F(-1), F(-1)), F(1))])  # the diamond |x| + |y| <= 1
+    @example([((F(1), F(0)), F(1)), ((F(-1), F(0)), F(1)), ((F(0), F(1)), F(1)),
+              ((F(0), F(-1)), F(1)), ((F(1), F(1)), F(1)), ((F(-1), F(-1)), F(1))])  # a hexagon
+    def test_vertices_from_rows_is_the_sorted_ring(self, rows):
+        try:
+            ring = vertices_from_rows(rows).vertices
+        except UnboundedRegion:
+            reject()
+        assert len(ring) >= 3  # every row holds strictly at 0
+        assert ring == _ccw_sorted(ring)
 
 
 # |x| + |y| <= 1 over (1/2, 1/2) + Z^2: four rows, so its spindles take the
