@@ -130,7 +130,7 @@ def _cmd_lift_phi(inst, args):
     if not args.p:
         raise DomainViolation("--p \"x,y\" is required for lift phi")
     cert = _cert_for(inst, args)
-    val = phi_eval(cert, inst.gauge, _parse_point(args.p), inst.budget)
+    val = phi_eval(cert, inst.gauge, _parse_point(args.p))
     return {"p": vec_str(_parse_point(args.p)), "phi": rat_str(val),
             "value": rat_str(cert.value)}, None
 
@@ -140,7 +140,7 @@ def _cmd_lift_psistar(inst, args):
         raise DomainViolation("--point \"x,y,h\" is required for lift psistar")
     cert = _cert_for(inst, args)
     point = _parse_point(args.point)
-    val = psi_star_eval(cert, inst.gauge, point, inst.budget)
+    val = psi_star_eval(cert, inst.gauge, point)
     return {"point": vec_str(point), "psistar": rat_str(val)}, None
 
 

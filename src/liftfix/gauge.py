@@ -19,8 +19,8 @@ lifting over the lifted gauge: fixing p1 at v1 gives one more gauge over
 S x Z_+, and the value at p2 is its lifting value at (p2, 0).
 A LiftCert carries the value together with every boundary witness of the
 certifying cone, so third parties can re-verify with nothing but rational
-arithmetic.  The two liftings phi and psi* share one descent over
-Z^n-periodic cosets, which needs S = b + Z^n.
+arithmetic.  The two liftings phi and psi* share one descent, one scan of
+the certifying cone over a Z^n-periodic coset, which needs S = b + Z^n.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .rational import Vec, dot, rat, vscale, vsub
 
 @dataclass(frozen=True)
 class Budget:
-    """Search caps: n_max bounds height loops; window, echoed in `lift value`'s
-    budget, is the tilt stages' starting margin and height window.
+    """Search caps: n_max, the lifting-value search's heights; window, echoed
+    in `lift value`'s budget, the tilt stages' starting margin and height window.
     """
 
     n_max: int = 16
@@ -307,7 +307,7 @@ def phi_eval(cert: LiftCert, g: Gauge, p: Vec, budget: Budget = Budget()) -> Fra
     The infimum runs over z in Z^n and integers N >= 0, which is exactly the
     lifted-gauge descent at height 0: phi(p) = psi_star_eval((p, 0)).  The
     N = 0 term caps it at inf_z psi(p + z), so the lifting never exceeds
-    the gauge itself.
+    the gauge itself.  `budget` bounds nothing.
     """
     require_dim(g.body.dim, p)
     return psi_star_eval(cert, g, tuple(p) + (Fraction(0),), budget)
@@ -316,12 +316,12 @@ def phi_eval(cert: LiftCert, g: Gauge, p: Vec, budget: Budget = Budget()) -> Fra
 def psi_star_eval(cert: LiftCert, g: Gauge, point: Vec, budget: Budget = Budget()) -> Fraction:
     """Lifted-gauge descent: inf of psi_hat(point + (z, k)) over Z^n x Z_+.
 
-    psi_hat is the gauge of the certifying cone; by its translation identity
-    psi_hat((y, h)) = psi(y - h*pstar) + h*value, so the height-(h + k)
-    candidates are the points y of the coset (p - (h + k)*pstar) + Z^n (not
-    S, and maybe Z^n itself) with psi(y) <= best - (h + k)*value.  Heights
-    stop once (h + k)*value reaches the running best.  The descent is
-    Z^n-periodic: a truncation or a tail raises PreconditionViolated.
+    psi_hat is the gauge of the certifying cone C: psi_hat((y, t)) =
+    psi(y - t*pstar) + t*value.  The descent is Z^n-periodic, so the point
+    first moves by the integer vector putting p - h*pstar nearest 0; one
+    `_scan` of point + Z^(n+1) (not S: maybe Z^n itself) under C's rows at
+    level psi_hat(point) and t >= h then bounds every height.  `budget`
+    bounds nothing.  A truncation or a tail raises PreconditionViolated.
     """
     if not g.lattice.periodic:
         raise PreconditionViolated("the descent needs S = b + Z^n, with no truncation or tail")
@@ -330,15 +330,9 @@ def psi_star_eval(cert: LiftCert, g: Gauge, point: Vec, budget: Budget = Budget(
     h = rat(point[-1])
     if h < 0:
         raise DimensionMismatch("point height must be nonnegative")
-    V = cert.value
-    p = tuple(point[:-1])
-    best = psi(g, vsub(p, vscale(h, cert.pstar))) + h * V
-    k, hk = 0, h
-    while hk * V < best:
-        if k > budget.n_max:
-            raise BudgetExceeded(f"descent search passed {budget.n_max} height steps")
-        level = best - hk * V
-        for y in _scan(vsub(p, vscale(hk, cert.pstar)), [(a, level) for a in g.body.rows]):
-            best = min(best, psi(g, y) + hk * V)
-        k, hk = k + 1, hk + 1
-    return best
+    base = vsub(point[:-1], vscale(h, cert.pstar))
+    w = tuple(c - round(d) for c, d in zip(point, base)) + (h,)
+    cone = lifting_cone(g, cert.pstar, cert.value).rows
+    level = max(dot(r, w) for r in cone)
+    rows = [(r, level) for r in cone] + [((0,) * len(base) + (-1,), -h)]
+    return min(max(dot(r, x) for r in cone) for x in _scan(w, rows))

@@ -647,10 +647,12 @@ def fixed_ball(tri: Type3Triangle, beta, budget: Budget = Budget()) -> FixedBall
     """Largest certified square around the apex direction of the tilted cone.
 
     The three facet witnesses give spindles whose pstar-shifts surround
-    pstar; the radius is the exact largest half-side r such that the square
-    of side 2r centered at pstar stays inside their union.  Candidate radii
-    come from piece vertices, pairwise edge crossings and edge crossings
-    with the two diagonal lines through pstar; the optimum is one of them.
+    pstar; they are taken from the fixing approximation, so the square is
+    made of its pieces.  The radius is the exact largest half-side r such
+    that the square of side 2r centered at pstar stays inside their union.
+    Candidate radii come from piece vertices and the pairwise crossings of
+    the piece edges and two diagonal segments through pstar that reach past
+    every piece; the optimum is one of them.
     """
     t = tilt(tri, beta, budget)
     apex = t.apex
@@ -660,36 +662,25 @@ def fixed_ball(tri: Type3Triangle, beta, budget: Budget = Budget()) -> FixedBall
     cert = v_psi(g, pstar, budget)
     if cert.value != value:
         raise CertificateMismatch("tilted apex and candidate search disagree on value")
+    approx = {(p.pair, p.facet, p.shift): p.polygon for p in fix_approx(g, cert).pieces}
+    try:
+        pieces = tuple(approx[(w[:2], int(w[2])), f, 1] for f, w in enumerate(t.facet_witnesses))
+    except KeyError:
+        raise CertificateMismatch("ball piece missing from the fixing approximation") from None
 
-    pieces = []
-    for f in range(3):
-        x, y, k = t.facet_witnesses[f]
-        anchor = vsub((x, y), vscale(k, pstar))
-        sp = spindle(tri.body.rows, anchor, f)
-        pieces.append(sp.polygon.translate(pstar))
-    pieces = tuple(pieces)
+    def linf(q):
+        return max(abs(q[0] - pstar[0]), abs(q[1] - pstar[1]))
 
-    cands = set()
-    for piece in pieces:
-        for v in piece.vertices:
-            cands.add(max(abs(v[0] - pstar[0]), abs(v[1] - pstar[1])))
-        for p, q in edges(piece.vertices):
-            d = vsub(q, p)
-            for sign in (1, -1):
-                # diagonal y - py = sign * (x - px)
-                den = d[1] - sign * d[0]
-                if den == 0:
-                    continue
-                tpar = (sign * (p[0] - pstar[0]) - (p[1] - pstar[1])) / den
-                if 0 <= tpar <= 1:
-                    q2 = vadd(p, vscale(tpar, d))
-                    cands.add(max(abs(q2[0] - pstar[0]), abs(q2[1] - pstar[1])))
-    for pa, pb in itertools.combinations(pieces, 2):
-        for (p, q), (r_, s_) in itertools.product(edges(pa.vertices), edges(pb.vertices)):
+    cands = {linf(v) for piece in pieces for v in piece.vertices}
+    span = 1 + max(cands)
+    segments = [list(edges(piece.vertices)) for piece in pieces]
+    segments += [[(vsub(pstar, vscale(span, d)), vadd(pstar, vscale(span, d)))]
+                 for d in ((1, 1), (1, -1))]
+    for sa, sb in itertools.combinations(segments, 2):
+        for (p, q), (r_, s_) in itertools.product(sa, sb):
             hit = segment_crossing(p, q, r_, s_)
             if hit:
-                q2 = vadd(p, vscale(Fraction(*hit), vsub(q, p)))
-                cands.add(max(abs(q2[0] - pstar[0]), abs(q2[1] - pstar[1])))
+                cands.add(linf(vadd(p, vscale(Fraction(*hit), vsub(q, p)))))
 
     radii = sorted(r for r in cands if r > 0)
 
@@ -715,11 +706,4 @@ def fixed_ball(tri: Type3Triangle, beta, budget: Budget = Budget()) -> FixedBall
             hi = mid - 1
     if best is None:
         raise CertificateMismatch("apex direction is not interior to the spindle union")
-
-    # the certified square must be made of fixing-approximation pieces
-    approx = fix_approx(g, cert)
-    approx_canon = {p.polygon.canonical() for p in approx.pieces}
-    for piece in pieces:
-        if piece.canonical() not in approx_canon:
-            raise CertificateMismatch("ball piece missing from the fixing approximation")
     return FixedBall(pstar, best, square_of(best), pieces, t)

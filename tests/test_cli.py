@@ -105,6 +105,14 @@ class TestCommands:
         )
         assert code == 0
         assert json.loads(data)["certificate"]["psistar"] == "1/2"
+        # value 1/40 at this pstar: the height walk needed 24 heights and exited 3
+        code, data = run_cli(
+            ["lift", "psistar", "--instance", instance_path, "--pstar=1/32,0",
+             "--point=1/3,1/5,0"],
+            tmp_path, "s.json",
+        )
+        assert code == 0
+        assert json.loads(data)["certificate"]["psistar"] == "44/75"
 
     @pytest.mark.parametrize(
         "command, flag, value",

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_valid_triangle
 from liftfix.errors import (
@@ -36,7 +36,7 @@ from liftfix.gauge import (
     v_psi_geometric,
     v_seq,
 )
-from liftfix.lattice import Lattice, contains, points_in
+from liftfix.lattice import Lattice, _scan, contains, points_in
 from liftfix.rational import dot, vadd, vscale, vsub
 from liftfix.type3 import pyramid, triangle_from_mixing
 
@@ -654,8 +654,62 @@ class TestIntegerRowTests:
             assert cert.witness == points_in(lat, body, strict=True)[0]
 
 
+def walk_psi_star(cert, g, point, n_max):
+    """Test-only reference: the descent walked one height at a time.
+
+    Height h + k scans the points y of (p - (h + k)*pstar) + Z^n with
+    psi(y) <= best - (h + k)*value, and the walk stops once (h + k)*value
+    reaches the running best; more than n_max steps raise BudgetExceeded.
+    """
+    V, h, p = cert.value, point[-1], tuple(point[:-1])
+    best = psi(g, vsub(p, vscale(h, cert.pstar))) + h * V
+    k, hk = 0, h
+    while hk * V < best:
+        if k > n_max:
+            raise BudgetExceeded(f"descent search passed {n_max} height steps")
+        level = best - hk * V
+        for y in _scan(vsub(p, vscale(hk, cert.pstar)), [(a, level) for a in g.body.rows]):
+            best = min(best, psi(g, y) + hk * V)
+        k, hk = k + 1, hk + 1
+    return best
+
+
+SIXTEENTH = st.integers(-16, 16).map(lambda n: F(n, 16))
+SIXTEENTH_TO_6 = st.integers(-96, 96).map(lambda n: F(n, 16))
+
+
 class TestDescent:
     """phi is the descent at height 0; every height matches a brute-force infimum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), pstar=st.tuples(SIXTEENTH, SIXTEENTH),
+           p=st.tuples(SIXTEENTH_TO_6, SIXTEENTH_TO_6),
+           h=st.sampled_from([F(0), F(1, 2), F(1), F(2), F(7, 3)]))
+    @example(seed=None, pstar=(F(1, 32), F(0)), p=(F(1, 3), F(1, 5)), h=F(0))
+    def test_one_scan_matches_the_height_walk(self, g, seed, pstar, p, h):
+        # seed None is the README's mixing instance B1, where the walk needs
+        # 24 heights at value 1/40 and the default budget of 16 ran out
+        gauge = g if seed is None else random_valid_triangle(random.Random(seed)).gauge()
+        try:
+            cert = v_psi(gauge, pstar)
+        except NoPositiveValueWithinBudget:
+            assume(False)
+        try:
+            want = walk_psi_star(cert, gauge, p + (h,), n_max=256)
+        except BudgetExceeded:
+            assume(False)
+        got = psi_star_eval(cert, gauge, p + (h,))
+        assert got == want
+        if seed is None:
+            assert (cert.value, got) == (F(1, 40), F(44, 75))
+
+    def test_periodic_far_away(self, g):
+        # the walk takes minutes this far out; the scan first moves the point
+        # back by an integer vector
+        cert = v_psi(g, PSTAR)
+        for point in ((F(1, 3), F(1, 5), F(0)), (F(0), F(0), F(7, 3)), (F(-9, 8), F(13, 8), F(1))):
+            far = vadd(point, (F(600), F(-900), F(0)))
+            assert psi_star_eval(cert, g, far) == psi_star_eval(cert, g, point)
 
     @pytest.mark.parametrize("h", [F(1, 2), F(1), F(3, 2)])
     def test_heights_match_brute_force(self, g, h):
